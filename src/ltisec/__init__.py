@@ -42,7 +42,9 @@ from .model import (
     ValidationReport,
     ctrl_matrix,
     io_matrix,
+    markov_column,
     obs_matrix,
+    propagate,
     simulate,
     validate,
 )

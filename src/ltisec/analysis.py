@@ -9,6 +9,11 @@ attack E(T) is undetectable exactly when a state shift theta exists with
 and theta is unique because O_T is injective for observable systems.  The
 certificate carries theta, the achieved residual, and the membership flags
 so borderline decisions stay auditable.
+
+Every product with M_T or C_T is a run of the state recursion
+(``model.propagate``): M_T E(T) is the output from rest, and the state the
+attack leaves behind is the final state of a run from theta.  Certification
+therefore costs O(T) time and memory.
 """
 
 from __future__ import annotations
@@ -18,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonTooShort, NotUndetectable
-from .model import AttackSequence, LtiSystem, SideInformation, ctrl_matrix, io_matrix, obs_matrix
+from .model import (
+    AttackSequence,
+    LtiSystem,
+    SideInformation,
+    markov_column,
+    obs_matrix,
+    propagate,
+)
 from .numlin import DEFAULT_TOL, Tol, feasible, intersect, solve_min_norm
 from .subspaces import weakly_unobservable
 
@@ -83,7 +95,8 @@ def certify_undetectable(
     if attack.is_zero:
         return UndetectabilityCertificate(True, np.zeros(n), 0.0, True, True)
     t = attack.horizon_t
-    rhs = -(io_matrix(sys, t) @ attack.stacked)
+    y_rest, _ = propagate(sys, np.zeros(n), attack)
+    rhs = -y_rest.reshape(-1)
     rhs_norm = float(np.linalg.norm(rhs))
     v = weakly_unobservable(sys, tol)
     cands = intersect(omega.null_basis, v, tol)
@@ -112,11 +125,22 @@ def certify_undetectable(
 def is_zero_state_inducing(
     sys: LtiSystem, attack: AttackSequence, tol: Tol = DEFAULT_TOL
 ) -> bool:
-    """Whether the attack leaves the output identically zero from rest."""
-    m = io_matrix(sys, attack.horizon_t)
-    e = attack.stacked
-    scale = float(np.linalg.norm(e)) * float(np.linalg.norm(m, 2))
-    return float(np.linalg.norm(m @ e)) <= tol.residual_rel * max(1.0, scale)
+    """Whether the attack leaves the output identically zero from rest.
+
+    The output from rest, M_T E(T), is thresholded against
+    ``residual_rel * max(1, ||E(T)|| * ||h_T||_2)``, where
+    h_T = [D; CB; ...; CA^{T-1}B] is the first block column of M_T.  Every
+    block column of M_T is a truncated shift of h_T, so
+
+        ||h_T||_2 <= ||M_T||_2 <= sqrt(T+1) * ||h_T||_2,
+
+    and the scale is never looser than ``||E(T)|| * ||M_T||_2`` and at most
+    sqrt(T+1) times tighter.  It costs O(T) instead of an SVD of M_T.
+    """
+    y_rest, _ = propagate(sys, np.zeros(sys.n), attack)
+    h = markov_column(sys, attack.horizon_t)
+    scale = float(np.linalg.norm(attack.stacked)) * float(np.linalg.norm(h, 2))
+    return float(np.linalg.norm(y_rest)) <= tol.residual_rel * max(1.0, scale)
 
 
 def extension_verdict(
@@ -131,8 +155,9 @@ def extension_verdict(
     The deciding quantity is where the attack has driven the shifted state
     by the end of the horizon:
 
-        w = C_T E(T) + A^{T+1} theta
+        w = C_T E(T) + A^{T+1} theta,
 
+    the final state of the recursion run from theta under the attack.
     Extensions of every length exist exactly when w lies in V, in which case
     frames appended inside the output-nulling recursion keep the extended
     attack undetectable.
@@ -147,8 +172,7 @@ def extension_verdict(
     theta = cert.induced_state
     if theta is None:
         theta = np.zeros(sys.n)
-    t = attack.horizon_t
-    w = ctrl_matrix(sys, t) @ attack.stacked + np.linalg.matrix_power(sys.a, t + 1) @ theta
+    _, w = propagate(sys, theta, attack)
     v = weakly_unobservable(sys, tol)
     residual = v.residual_outside(w)
     ok = residual <= tol.residual_rel * max(1.0, float(np.linalg.norm(w)))

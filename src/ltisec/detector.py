@@ -13,6 +13,7 @@ entire history at once, so nothing is lost by forgetting old frames.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, NonFinite, RankDeficient
 from .model import LtiSystem, SideInformation, Trajectory, _obs_stack
 from .numlin import DEFAULT_TOL, Tol, numerical_rank, orth_columns
 
@@ -118,13 +119,25 @@ class DetectorSession:
             raise DimensionMismatch(
                 f"y_omega has length {self._y_omega.shape[0]}, expected {config.omega.q}"
             )
+        if not np.all(np.isfinite(self._y_omega)):
+            raise NonFinite("y_omega contains NaN or infinite entries")
         self._window: deque[np.ndarray] = deque(maxlen=l)
         self._k = -1
         self._p = c.shape[0]
         self.config = config
 
     def push(self, y: np.ndarray) -> EpochDecision | None:
-        """Feed one output frame; returns a decision once the window fills."""
+        """Feed one output frame; returns a decision once the window fills.
+
+        Raises
+        ------
+        DimensionMismatch
+            If the frame length is not p.
+        NonFinite
+            If the window being decided holds NaN or an infinity: no epoch
+            over it can be decided.  A frame pushed before the window first
+            fills is reported at the first epoch, k = l-1.
+        """
         y = np.asarray(y, float).reshape(-1)
         if y.shape[0] != self._p:
             raise DimensionMismatch(f"output frame has length {y.shape[0]}, expected {self._p}")
@@ -141,6 +154,12 @@ class DetectorSession:
             test = stacked
             q = self._q_later
         residual = float(np.linalg.norm(test - q @ (q.T @ test)))
+        # A non-finite entry always makes the residual non-finite, so the
+        # entries are only inspected when the residual is.
+        if not math.isfinite(residual) and not np.isfinite(stacked).all():
+            raise NonFinite(
+                f"the window ending at k={self._k} holds NaN or infinite outputs"
+            )
         norm = float(np.linalg.norm(test))
         ok = residual <= self.config.tol.residual_rel * max(1.0, norm)
         return EpochDecision(

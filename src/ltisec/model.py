@@ -16,6 +16,12 @@ Analysis rests on the stacked form of the recursion over a horizon T:
 
 where ``O_T`` stacks C, CA, ..., CA^T, ``M_T`` is the block lower-triangular
 input-output operator, and ``E(T)`` stacks the attack frames a(0..T).
+
+The verdicts never form ``M_T`` to multiply it by one vector: ``propagate``
+runs the recursion from a given x(0) and returns the outputs, which equal
+``O_T x(0) + M_T E(T)``, and the final state, which equals
+``A^{T+1} x(0) + C_T E(T)``, in O(T) time and memory.  The dense builders
+below remain for the minimum-norm solves that need the matrix itself.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFinite
 from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, null_space, numerical_rank
@@ -35,8 +42,10 @@ __all__ = [
     "Trajectory",
     "validate",
     "obs_matrix",
+    "markov_column",
     "io_matrix",
     "ctrl_matrix",
+    "propagate",
     "simulate",
 ]
 
@@ -242,25 +251,33 @@ def obs_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     return _obs_stack(sys.a, sys.c, t)
 
 
+def markov_column(sys: LtiSystem, t: int) -> np.ndarray:
+    """First block column h_t = [D; CB; CAB; ...; CA^{t-1}B] of M_t,
+    shape p(t+1) x s."""
+    if t < 0:
+        raise DimensionMismatch("horizon must be nonnegative")
+    blocks = [sys.d]
+    cab = sys.b
+    for _ in range(t):
+        blocks.append(sys.c @ cab)
+        cab = sys.a @ cab
+    return np.vstack(blocks)
+
+
 def io_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     """Input-output matrix M_t, shape p(t+1) x s(t+1).
 
     Block lower-triangular: D on the diagonal, C A^{j-1} B on the j-th
     subdiagonal.
     """
-    if t < 0:
-        raise DimensionMismatch("horizon must be nonnegative")
-    n, p, s = sys.n, sys.p, sys.s
-    blocks = [sys.d]
-    cab = sys.b
-    for _ in range(t):
-        blocks.append(sys.c @ cab)
-        cab = sys.a @ cab
-    m = np.zeros((p * (t + 1), s * (t + 1)))
-    for i in range(t + 1):
-        for j in range(i + 1):
-            m[i * p : (i + 1) * p, j * s : (j + 1) * s] = blocks[i - j]
-    return m
+    p, s = sys.p, sys.s
+    h = markov_column(sys, t).reshape(t + 1, p, s)
+    # Block (i, j) is h[i - j], zero for j > i.  With g = [h reversed; zeros],
+    # block row i is the window g[t - i : 2t + 1 - i], so one strided view
+    # holds every block row and a single copy lays them out.
+    g = np.concatenate([h[::-1], np.zeros((t, p, s))])
+    rows = sliding_window_view(g, t + 1, axis=0)[t::-1]  # (i, p, s, j)
+    return np.array(rows.transpose(0, 1, 3, 2)).reshape(p * (t + 1), s * (t + 1))
 
 
 def ctrl_matrix(sys: LtiSystem, t: int) -> np.ndarray:
@@ -279,6 +296,30 @@ def ctrl_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     return np.hstack(blocks[::-1])
 
 
+def propagate(
+    sys: LtiSystem, x0: np.ndarray, attack: AttackSequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs y(0..T), one row per step, and final state x(T+1) of the
+    recursion started at x0 under the attack frames.
+
+    Flattened, the outputs equal ``O_T x0 + M_T E(T)``; the final state
+    equals ``A^{T+1} x0 + C_T E(T)``.  O(T) time and memory.
+    """
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape[0] != sys.n:
+        raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {sys.n}")
+    if attack.s != sys.s:
+        raise DimensionMismatch(
+            f"attack has {attack.s} channels, system expects {sys.s}"
+        )
+    a, b, c, d = sys.a, sys.b, sys.c, sys.d
+    ys = np.empty((attack.horizon_t + 1, sys.p))
+    for k, ak in enumerate(attack.frames):
+        ys[k] = c @ x + d @ ak
+        x = a @ x + b @ ak
+    return ys, x
+
+
 def simulate(
     sys: LtiSystem,
     x0: np.ndarray,
@@ -287,20 +328,9 @@ def simulate(
 ) -> Trajectory:
     """Run the state recursion and record outputs and side information."""
     x = _finite("x0", x0).reshape(-1)
-    if x.shape[0] != sys.n:
-        raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {sys.n}")
-    if attack.s != sys.s:
-        raise DimensionMismatch(
-            f"attack has {attack.s} channels, system expects {sys.s}"
-        )
     if omega.n != sys.n:
         raise DimensionMismatch(
             f"Omega has {omega.n} columns, system state dim is {sys.n}"
         )
-    ys = np.empty((attack.horizon_t + 1, sys.p))
-    state = x.copy()
-    for k in range(attack.horizon_t + 1):
-        ak = attack.frames[k]
-        ys[k] = sys.c @ state + sys.d @ ak
-        state = sys.a @ state + sys.b @ ak
+    ys, _ = propagate(sys, x, attack)
     return Trajectory(outputs=ys, initial_state=x, side_value=omega.value_for(x))

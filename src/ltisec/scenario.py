@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AssumptionViolated, DimensionMismatch, ParseError
+from .errors import AssumptionViolated, DimensionMismatch, NonFinite, ParseError
 from .model import AttackSequence, LtiSystem, SideInformation, Trajectory, validate
 from .numlin import DEFAULT_TOL, Tol
 
@@ -140,7 +140,17 @@ def save_attack(path, attack: AttackSequence) -> None:
 
 
 def load_log(path) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Read a measurement log; returns (y_omega, outputs in time order)."""
+    """Read a measurement log; returns (y_omega, outputs in time order).
+
+    Raises
+    ------
+    ParseError
+        On unreadable files, malformed records, or missing or duplicate
+        time indices.
+    NonFinite
+        When y_omega or any output holds NaN or an infinity (JSON lines
+        written by Python may spell them ``NaN`` and ``Infinity``).
+    """
     path = Path(path)
     try:
         lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
@@ -153,6 +163,8 @@ def load_log(path) -> tuple[np.ndarray, list[np.ndarray]]:
         y_omega = np.asarray(header["y_omega"], dtype=float).reshape(-1)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"log {path} lacks a y_omega header: {exc}") from exc
+    if not np.all(np.isfinite(y_omega)):
+        raise NonFinite(f"log {path} has a non-finite y_omega")
     records = []
     for ln in lines[1:]:
         try:
@@ -163,7 +175,11 @@ def load_log(path) -> tuple[np.ndarray, list[np.ndarray]]:
     records.sort(key=lambda r: r[0])
     if [k for k, _ in records] != list(range(len(records))):
         raise ParseError(f"log {path} has missing or duplicate time indices")
-    return y_omega, [y for _, y in records]
+    outputs = [y for _, y in records]
+    if outputs and not np.all(np.isfinite(np.concatenate(outputs))):
+        k = next(k for k, y in records if not np.all(np.isfinite(y)))
+        raise NonFinite(f"log {path} has a non-finite output at k={k}")
+    return y_omega, outputs
 
 
 def save_log(path, trajectory: Trajectory) -> None:

@@ -116,6 +116,37 @@ def rand_system(rng, nmax=4, pmax=3, smax=3) -> LtiSystem:
         return LtiSystem(a=a, b=b, c=c, d=d)
 
 
+SHAPES = ("tall", "wide", "no_feedthrough", "unstable")
+
+
+def rand_shaped_system(rng, shape: str) -> LtiSystem:
+    """Random observable system with injective [B; D] of a given shape:
+    "tall" (p > s), "wide" (s > p), "no_feedthrough" (D = 0) or
+    "unstable" (spectral radius 1.15)."""
+    while True:
+        n = int(rng.integers(3, 6))
+        if shape == "tall":
+            s = int(rng.integers(1, 3))
+            p = s + int(rng.integers(1, 3))
+        elif shape == "wide":
+            p = int(rng.integers(1, 3))
+            s = p + int(rng.integers(1, 3))
+        else:
+            p = int(rng.integers(1, 4))
+            s = int(rng.integers(1, 4))
+        a = rng.standard_normal((n, n))
+        spec = np.max(np.abs(np.linalg.eigvals(a)))
+        a *= (1.15 if shape == "unstable" else 0.9) / spec
+        b = rng.standard_normal((n, s))
+        c = rng.standard_normal((p, n))
+        d = np.zeros((p, s)) if shape == "no_feedthrough" else rng.standard_normal((p, s))
+        if np.linalg.matrix_rank(stack_obs(a, c, n - 1)) < n:
+            continue
+        if np.linalg.matrix_rank(np.vstack([b, d])) < s:
+            continue
+        return LtiSystem(a=a, b=b, c=c, d=d)
+
+
 def rand_side(rng, n: int, kind: str = "mixed") -> SideInformation:
     """Random side information: q x n rows, the zero matrix, or full rank."""
     if kind == "zero":

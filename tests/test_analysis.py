@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ltisec import (
     certify_undetectable,
     classify,
     extension_verdict,
+    intersect,
     is_zero_state_inducing,
     weakly_unobservable,
 )
@@ -21,7 +24,15 @@ from ltisec.synthesis import (
     zero_state_synthesize,
 )
 
-from oracles import rand_side, rand_system, undetectable_oracle
+from oracles import (
+    SHAPES,
+    extension_brute_oracle,
+    rand_shaped_system,
+    rand_side,
+    rand_system,
+    stack_ctrl,
+    undetectable_oracle,
+)
 
 PRINT_TOL = Tol(residual_rel=5e-3)
 
@@ -242,3 +253,52 @@ def test_classify_oscillatory_mode(aircraft_sys, aircraft_side):
     attack = zero_dynamics_attack(pair, 20, 5.0)
     cls = classify(aircraft_sys, aircraft_side, attack)
     assert cls.zero_dynamics_form == "pair"
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_certificate_and_extension_match_oracles_moderate_horizon(shape):
+    # horizons of 20-40 steps (8-12 for unstable A), side information of
+    # every kind, engineered and dense random attacks
+    rng = np.random.default_rng(30 + SHAPES.index(shape))
+    certified = 0
+    for i in range(16):
+        sys = rand_shaped_system(rng, shape)
+        side = rand_side(rng, sys.n, ("mixed", "zero", "full")[i % 3])
+        t = int(rng.integers(8, 13) if shape == "unstable" else rng.integers(20, 41))
+        cands = intersect(side.null_basis, weakly_unobservable(sys))
+        if i % 2 == 0 and cands.dim:
+            theta = cands.basis @ rng.standard_normal(cands.dim)
+            attack = undetectable_from_theta(sys, side, theta, t)
+        else:
+            attack = AttackSequence(rng.standard_normal((t + 1, sys.s)))
+        cert = certify_undetectable(sys, side, attack)
+        assert cert.undetectable == undetectable_oracle(sys, side.omega, attack)
+        certified += cert.undetectable
+        if not cert.undetectable:
+            continue
+        verdict = extension_verdict(sys, side, attack, cert)
+        a_pow = np.linalg.matrix_power(sys.a, t + 1)
+        want = stack_ctrl(sys.a, sys.b, t) @ attack.stacked + a_pow @ cert.induced_state
+        assert np.linalg.norm(verdict.test_vector - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
+        # n+1 appended frames decide membership in V
+        brute = extension_brute_oracle(sys, side.omega, attack, t + sys.n + 1)
+        assert verdict.extensible_forever == brute
+    if shape != "tall":  # generic tall plants have V = {0}
+        assert certified >= 3
+
+
+def test_long_horizon_aircraft_certificates(aircraft_sys, aircraft_side, aircraft_mode):
+    # T=2000 is out of reach for dense M_T (2.1 s and 190 MB for the matrix
+    # alone); the recursion makes it a few milliseconds
+    attack = zero_dynamics_attack(aircraft_mode, 2000, 10.0)
+    start = time.perf_counter()
+    blind = certify_undetectable(aircraft_sys, SideInformation.none(4), attack)
+    pinned = certify_undetectable(aircraft_sys, aircraft_side, attack)
+    zero_state = is_zero_state_inducing(aircraft_sys, attack)
+    elapsed = time.perf_counter() - start
+    assert blind.undetectable
+    want = 10.0 * aircraft_mode.theta.real
+    assert np.linalg.norm(blind.induced_state - want) <= 1e-6 * np.linalg.norm(want)
+    assert not pinned.undetectable
+    assert not zero_state
+    assert elapsed < 1.0

@@ -168,3 +168,21 @@ def test_certify_missing_attack_uses_bundled(aircraft_file, capsys):
     code, out, _ = run_cli(capsys, "certify", "--scenario", aircraft_file,
                            "--tol", "5e-3")
     assert code == 2
+
+
+def test_detect_rejects_nan_in_log(aircraft_file, tmp_path, capsys):
+    # a clean log with one record set to NaN must be an input error (exit
+    # 1), not an attack verdict
+    zero_attack = tmp_path / "zero.json"
+    zero_attack.write_text(json.dumps({"T": 40, "frames": [[0.0] * 4] * 41}))
+    log_file = tmp_path / "clean.jsonl"
+    run_cli(capsys, "simulate", "--scenario", aircraft_file,
+            "--attack", str(zero_attack), "--out", str(log_file))
+    lines = log_file.read_text().splitlines()
+    lines[21] = json.dumps({"k": 20, "y": [float("nan"), 0.0, 0.0]})
+    log_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "detect", "--scenario", aircraft_file,
+                             "--log", str(log_file), "--tol", "5e-3")
+    assert code == 1
+    assert out == ""
+    assert "k=20" in err

@@ -9,6 +9,7 @@ from ltisec import (
     DetectorSession,
     DimensionMismatch,
     LtiSystem,
+    NonFinite,
     RankDeficient,
     SideInformation,
     Tol,
@@ -182,3 +183,32 @@ def test_detector_accepts_matrix_pair(aircraft_sys, aircraft_side, attacked_traj
                                             attacked_traj.side_value, attacked_traj)
     assert verdict_sys == verdict_pair
     assert [e.residual for e in trace_sys.epochs] == [e.residual for e in trace_pair.epochs]
+
+
+# an infinity in the window meets inf - inf in the projection first
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("k_bad", [1, 4, 9])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frame_raises(aircraft_sys, aircraft_side, k_bad, bad):
+    # before the window fills (k=1, reported at the first epoch k=4), at the
+    # first epoch (k=4) and later (k=9, reported at once)
+    x0 = np.array([1.0, -1.0, 0.5, 2.0])
+    traj = simulate(aircraft_sys, x0, AttackSequence.zeros(4, 12), aircraft_side)
+    outputs = traj.outputs.copy()
+    outputs[k_bad, 0] = bad
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    session = DetectorSession(aircraft_sys, cfg, traj.side_value)
+    raised_at = None
+    for k, y in enumerate(outputs):
+        try:
+            session.push(y)
+        except NonFinite:
+            raised_at = k
+            break
+    assert raised_at == max(k_bad, 4)
+
+
+def test_non_finite_side_value_rejected(aircraft_sys, aircraft_side):
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    with pytest.raises(NonFinite):
+        DetectorSession(aircraft_sys, cfg, np.array([np.inf]))

@@ -9,14 +9,16 @@ from ltisec import (
     Trajectory,
     ctrl_matrix,
     io_matrix,
+    markov_column,
     obs_matrix,
+    propagate,
     simulate,
     solve_min_norm,
     validate,
 )
 from ltisec.synthesis import find_zero_dynamics_modes, zero_dynamics_attack
 
-from oracles import rand_system
+from oracles import SHAPES, rand_shaped_system, rand_system, stack_io
 
 
 def test_validate_aircraft(aircraft_sys):
@@ -229,3 +231,52 @@ def test_trajectory_stacked():
                       initial_state=np.zeros(2), side_value=np.zeros(1))
     assert np.array_equal(traj.stacked, [1.0, 2.0, 3.0, 4.0])
     assert traj.horizon_t == 1
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_propagate_equals_dense_stacked_products(shape):
+    # outputs = O_T x0 + M_T E and final state = A^{T+1} x0 + C_T E, up to
+    # summation order, relative to the magnitudes of the summed terms
+    rng = np.random.default_rng(SHAPES.index(shape))
+    for _ in range(8):
+        sys = rand_shaped_system(rng, shape)
+        for t in (0, 1, 7, 25):
+            attack = AttackSequence(rng.standard_normal((t + 1, sys.s)))
+            x0 = rng.standard_normal(sys.n)
+            ys, x_end = propagate(sys, x0, attack)
+            assert ys.shape == (t + 1, sys.p)
+            o, m = obs_matrix(sys, t), io_matrix(sys, t)
+            scale = np.linalg.norm(np.abs(o) @ np.abs(x0) + np.abs(m) @ np.abs(attack.stacked))
+            assert np.linalg.norm(ys.reshape(-1) - (o @ x0 + m @ attack.stacked)) <= 1e-12 * scale
+            ap = np.linalg.matrix_power(sys.a, t + 1)
+            ct = ctrl_matrix(sys, t)
+            want = ap @ x0 + ct @ attack.stacked
+            scale = np.linalg.norm(np.abs(ap) @ np.abs(x0) + np.abs(ct) @ np.abs(attack.stacked))
+            assert np.linalg.norm(x_end - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_io_matrix_matches_oracle_stacking(shape):
+    rng = np.random.default_rng(10 + SHAPES.index(shape))
+    for _ in range(4):
+        sys = rand_shaped_system(rng, shape)
+        for t in (0, 1, 12):
+            m = io_matrix(sys, t)
+            want = stack_io(sys.a, sys.b, sys.c, sys.d, t)
+            assert m.flags.writeable
+            assert np.allclose(m, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            assert np.array_equal(markov_column(sys, t), m[:, : sys.s])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_markov_column_brackets_io_norm(shape):
+    # every block column of M_T is a truncated shift of h_T, so
+    # ||h_T|| <= ||M_T|| <= sqrt(T+1) ||h_T||
+    rng = np.random.default_rng(20 + SHAPES.index(shape))
+    for _ in range(4):
+        sys = rand_shaped_system(rng, shape)
+        for t in (0, 3, 20):
+            h = np.linalg.norm(markov_column(sys, t), 2)
+            m = np.linalg.norm(io_matrix(sys, t), 2)
+            assert h <= m * (1 + 1e-12)
+            assert m <= np.sqrt(t + 1) * h * (1 + 1e-12)

@@ -7,6 +7,7 @@ from ltisec import (
     AssumptionViolated,
     AttackSequence,
     DimensionMismatch,
+    NonFinite,
     ParseError,
     SideInformation,
     Trajectory,
@@ -215,3 +216,21 @@ def test_missing_file_is_parse_error(tmp_path):
         load_attack(tmp_path / "nope.json", 1)
     with pytest.raises(ParseError):
         load_log(tmp_path / "nope.jsonl")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_log_rejects_non_finite_output(tmp_path, bad):
+    lines = [json.dumps({"y_omega": [0.0]})]
+    lines += [json.dumps({"k": k, "y": [bad if k == 2 else 1.0, 0.0]}) for k in range(4)]
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join(lines))
+    with pytest.raises(NonFinite, match="k=2"):
+        load_log(path)
+
+
+def test_log_rejects_non_finite_side_value(tmp_path):
+    lines = [json.dumps({"y_omega": [float("nan")]}), json.dumps({"k": 0, "y": [1.0]})]
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join(lines))
+    with pytest.raises(NonFinite, match="y_omega"):
+        load_log(path)
