@@ -44,6 +44,11 @@ __all__ = [
     "classify",
 ]
 
+# The frame shape is a descriptive label, not a feasibility decision: its fit
+# accepts misfits up to a millionth of the largest frame, far above the
+# rounding of any computed geometric sequence, independently of ``Tol``.
+_SHAPE_FIT_REL = 1e-6
+
 
 @dataclass(frozen=True)
 class UndetectabilityCertificate:
@@ -110,9 +115,10 @@ def certify_undetectable(
         xi, residual = solve_min_norm(ot, rhs, tol)
         theta = cands.basis @ xi
     und = feasible(residual, rhs_norm, tol)
-    theta_norm = float(np.linalg.norm(theta))
-    in_null = float(np.linalg.norm(omega.omega @ theta)) <= tol.residual_rel * max(1.0, theta_norm)
-    in_v = v.residual_outside(theta) <= tol.residual_rel * max(1.0, theta_norm)
+    in_null = feasible(
+        float(np.linalg.norm(omega.omega @ theta)), float(np.linalg.norm(theta)), tol
+    )
+    in_v = v.contains(theta, tol)
     return UndetectabilityCertificate(
         undetectable=und,
         induced_state=theta if und else None,
@@ -140,7 +146,7 @@ def is_zero_state_inducing(
     y_rest, _ = propagate(sys, np.zeros(sys.n), attack)
     h = markov_column(sys, attack.horizon_t)
     scale = float(np.linalg.norm(attack.stacked)) * float(np.linalg.norm(h, 2))
-    return float(np.linalg.norm(y_rest)) <= tol.residual_rel * max(1.0, scale)
+    return feasible(float(np.linalg.norm(y_rest)), scale, tol)
 
 
 def extension_verdict(
@@ -175,7 +181,7 @@ def extension_verdict(
     _, w = propagate(sys, theta, attack)
     v = weakly_unobservable(sys, tol)
     residual = v.residual_outside(w)
-    ok = residual <= tol.residual_rel * max(1.0, float(np.linalg.norm(w)))
+    ok = feasible(residual, float(np.linalg.norm(w)), tol)
     return ExtensionVerdict(extensible_forever=ok, test_vector=w, membership_residual=residual)
 
 
@@ -183,13 +189,13 @@ def _geometric_form(frames: np.ndarray, tol: Tol) -> str | None:
     """Match frames against a(k) = lambda^k g, real lambda or conjugate pair.
 
     Returns "real", "pair", or None.  The fit is scale-relative: residuals
-    are compared against the largest frame norm.
+    are compared against ``_SHAPE_FIT_REL`` times the largest frame norm.
     """
     t1 = frames.shape[0]
     scale = float(np.max(np.linalg.norm(frames, axis=1)))
     if scale == 0.0:
         return None
-    thresh = 1e-6 * scale
+    thresh = _SHAPE_FIT_REL * scale
     if np.linalg.norm(frames[0]) <= thresh:
         # a(0) = g must carry the direction; a zero head with a nonzero tail
         # fits no geometric sequence.

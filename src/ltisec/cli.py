@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import certify_undetectable
 from .detector import Decision, DetectorConfig, run_detector
 from .errors import LtisecError
-from .model import AttackSequence, SideInformation, simulate
+from .model import AttackSequence, simulate
 from .numlin import Tol
 from .reports import (
     PRINT_PRECISION_REL,
@@ -38,9 +38,8 @@ from .synthesis import (
 )
 
 
-def _tol(args, default_residual: float = 1e-8) -> Tol:
-    r = args.tol if args.tol is not None else default_residual
-    return Tol(rank_rel=1e-10, residual_rel=r)
+def _tol(args) -> Tol:
+    return Tol() if args.tol is None else Tol(residual_rel=args.tol)
 
 
 def _hints(args) -> list[complex] | None:
@@ -50,8 +49,9 @@ def _hints(args) -> list[complex] | None:
 
 
 def _cmd_analyze(args) -> int:
-    scenario = load_scenario(args.scenario, _tol(args))
-    rep = analyze_report(scenario, _tol(args), _hints(args), args.allow_unstable)
+    tol = _tol(args)
+    scenario = load_scenario(args.scenario, tol)
+    rep = analyze_report(scenario, tol, _hints(args), args.allow_unstable)
     print(rep.render(), end="")
     return 0
 
@@ -128,8 +128,7 @@ def _cmd_detect(args) -> int:
     scenario = load_scenario(args.scenario, tol)
     sys = scenario.system
     window = args.window if args.window is not None else sys.n + 1
-    side = SideInformation(scenario.side.omega, tol)
-    config = DetectorConfig(window_len_l=window, omega=side, tol=tol)
+    config = DetectorConfig(window_len_l=window, omega=scenario.side, tol=tol)
     y_omega, outputs = load_log(args.log)
     trace = run_detector(sys, config, y_omega, outputs)
     rows = trace_series(trace)

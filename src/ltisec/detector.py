@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
 from .model import LtiSystem, SideInformation, Trajectory, _obs_stack
-from .numlin import DEFAULT_TOL, Tol, numerical_rank, orth_columns
+from .numlin import DEFAULT_TOL, Tol, feasible, orth_columns
 
 __all__ = [
     "Decision",
@@ -83,13 +83,6 @@ class DetectionTrace:
         return None
 
 
-def _obs_pair(sys_obs) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(sys_obs, LtiSystem):
-        return sys_obs.a, sys_obs.c
-    a, c = sys_obs
-    return np.atleast_2d(np.asarray(a, float)), np.atleast_2d(np.asarray(c, float))
-
-
 class DetectorSession:
     """Single-owner streaming state: a ring of the last l output frames.
 
@@ -97,23 +90,23 @@ class DetectorSession:
     ``push`` afterwards costs one projection and one norm.
     """
 
-    def __init__(self, sys_obs, config: DetectorConfig, y_omega: np.ndarray):
-        a, c = _obs_pair(sys_obs)
-        n = a.shape[0]
+    def __init__(self, sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray):
+        n = sys.n
         tol = config.tol
         if config.omega.n != n:
             raise DimensionMismatch(
                 f"Omega has {config.omega.n} columns, state dim is {n}"
             )
         l = config.window_len_l
-        obs = _obs_stack(a, c, l - 1)
-        first = np.vstack([config.omega.omega, obs])
-        if numerical_rank(obs, tol) < n or numerical_rank(first, tol) < n:
+        obs = _obs_stack(sys.a, sys.c, l - 1)
+        q_first = orth_columns(np.vstack([config.omega.omega, obs]), tol)
+        q_later = orth_columns(obs, tol)
+        if q_later.dim < n or q_first.dim < n:
             raise RankDeficient(
                 "observability stack lost column rank; detector tests are ill-posed"
             )
-        self._q_first = orth_columns(first, tol).basis
-        self._q_later = orth_columns(obs, tol).basis
+        self._q_first = q_first.basis
+        self._q_later = q_later.basis
         self._y_omega = np.asarray(y_omega, float).reshape(-1)
         if self._y_omega.shape[0] != config.omega.q:
             raise DimensionMismatch(
@@ -123,7 +116,7 @@ class DetectorSession:
             raise NonFinite("y_omega contains NaN or infinite entries")
         self._window: deque[np.ndarray] = deque(maxlen=l)
         self._k = -1
-        self._p = c.shape[0]
+        self._p = sys.p
         self.config = config
 
     def push(self, y: np.ndarray) -> EpochDecision | None:
@@ -161,7 +154,7 @@ class DetectorSession:
                 f"the window ending at k={self._k} holds NaN or infinite outputs"
             )
         norm = float(np.linalg.norm(test))
-        ok = residual <= self.config.tol.residual_rel * max(1.0, norm)
+        ok = feasible(residual, norm, self.config.tol)
         return EpochDecision(
             k=self._k,
             decision=Decision.NO_ATTACK if ok else Decision.ATTACK,
@@ -171,13 +164,13 @@ class DetectorSession:
 
 
 def run_detector(
-    sys_obs,
+    sys: LtiSystem,
     config: DetectorConfig,
     y_omega: np.ndarray,
     outputs: Iterable[np.ndarray],
 ) -> DetectionTrace:
     """Run the streaming detector over a sequence of output frames."""
-    session = DetectorSession(sys_obs, config, y_omega)
+    session = DetectorSession(sys, config, y_omega)
     trace = DetectionTrace()
     for y in outputs:
         epoch = session.push(y)
@@ -191,12 +184,12 @@ def run_detector(
 
 
 def batch_decide(
-    sys_obs,
+    sys: LtiSystem,
     config: DetectorConfig,
     y_omega: np.ndarray,
     trajectory: Trajectory,
 ) -> tuple[Decision, DetectionTrace]:
     """Run the detector over a whole trajectory and fold the epoch decisions
     into one verdict: no attack only if every epoch agrees."""
-    trace = run_detector(sys_obs, config, y_omega, trajectory.outputs)
+    trace = run_detector(sys, config, y_omega, trajectory.outputs)
     return trace.verdict, trace

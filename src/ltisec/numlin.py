@@ -6,9 +6,9 @@ package ("does a vector exist such that ...") reduces to a call into this
 module, so the thresholding conventions live here and nowhere else:
 
 * rank decisions count singular values above ``rank_rel`` times the largest
-  singular value;
+  singular value (``rank_cut``);
 * linear systems are called feasible when the least-squares residual is at
-  most ``residual_rel * max(1, ||rhs||)``.
+  most ``residual_rel * max(1, ||rhs||)`` (``feasible``).
 """
 
 from __future__ import annotations
@@ -119,9 +119,20 @@ class SubspaceBasis:
         return float(np.linalg.norm(v - self.project(v)))
 
     def contains(self, v: np.ndarray, tol: Tol = DEFAULT_TOL) -> bool:
-        """Thresholded membership test, relative to ``max(1, ||v||)``."""
+        """Thresholded membership test: ``feasible`` of the residual outside
+        the subspace against ``||v||``."""
         v = np.asarray(v, dtype=float)
-        return self.residual_outside(v) <= tol.residual_rel * max(1.0, float(np.linalg.norm(v)))
+        return feasible(self.residual_outside(v), float(np.linalg.norm(v)), tol)
+
+
+def rank_cut(sv: np.ndarray, tol: Tol, scale_floor: float = 0.0) -> int:
+    """Number of singular values (given in descending order) above
+    ``rank_rel`` times the larger of the largest one and ``scale_floor``.
+
+    An all-zero or empty spectrum has rank 0.
+    """
+    smax = max(float(sv[0]), scale_floor) if sv.size else scale_floor
+    return int(np.sum(sv > tol.rank_rel * smax))
 
 
 def numerical_rank(m, tol: Tol = DEFAULT_TOL) -> int:
@@ -132,11 +143,7 @@ def numerical_rank(m, tol: Tol = DEFAULT_TOL) -> int:
     a = _as_matrix(m)
     if a.size == 0:
         return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.sum(sv > tol.rank_rel * smax))
+    return rank_cut(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def null_space(m, tol: Tol = DEFAULT_TOL, scale_floor: float = 0.0) -> SubspaceBasis:
@@ -163,15 +170,11 @@ def null_space(m, tol: Tol = DEFAULT_TOL, scale_floor: float = 0.0) -> SubspaceB
         ``scale_floor`` is 0.
     """
     a = _as_matrix(m)
-    rows, cols = a.shape
-    if rows == 0 or not a.size:
+    cols = a.shape[1]
+    if not a.any():
         return SubspaceBasis.full(cols)
     _, sv, vh = np.linalg.svd(a)
-    smax = max(sv[0] if sv.size else 0.0, scale_floor)
-    if smax == 0.0:
-        return SubspaceBasis.full(cols)
-    r = int(np.sum(sv > tol.rank_rel * smax))
-    return SubspaceBasis(cols, vh[r:].T.copy())
+    return SubspaceBasis(cols, vh[rank_cut(sv, tol, scale_floor):].T.copy())
 
 
 def orth_columns(m, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:
@@ -180,11 +183,7 @@ def orth_columns(m, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:
     if a.shape[1] == 0:
         return SubspaceBasis.zero(a.shape[0])
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        return SubspaceBasis.zero(a.shape[0])
-    r = int(np.sum(sv > tol.rank_rel * smax))
-    return SubspaceBasis(a.shape[0], u[:, :r].copy())
+    return SubspaceBasis(a.shape[0], u[:, :rank_cut(sv, tol)].copy())
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:
@@ -230,12 +229,11 @@ def projector(k, tol: Tol = DEFAULT_TOL) -> np.ndarray:
         If ``k`` loses column rank at the tolerance.
     """
     a = _as_matrix(k)
-    r = numerical_rank(a, tol)
-    if r < a.shape[1]:
-        raise RankDeficient(
-            f"matrix has numerical rank {r} < {a.shape[1]} columns"
-        )
     q = orth_columns(a, tol)
+    if q.dim < a.shape[1]:
+        raise RankDeficient(
+            f"matrix has numerical rank {q.dim} < {a.shape[1]} columns"
+        )
     return q.basis @ q.basis.T
 
 

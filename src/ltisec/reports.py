@@ -18,7 +18,7 @@ from .errors import NoModes
 from .model import AttackSequence, LtiSystem, SideInformation, simulate, validate
 from .numlin import Tol, intersect
 from .scenario import Scenario, aircraft_path, load_scenario
-from .subspaces import output_nulling_reachable, weakly_unobservable, zero_state_attack_exists
+from .subspaces import output_nulling_reachable, weakly_unobservable
 from .synthesis import find_zero_dynamics_modes
 
 __all__ = [
@@ -122,8 +122,10 @@ def analyze_report(
     w1 = output_nulling_reachable(sys, 1, tol)
     rep.add("dim_weakly_unobservable", str(v.dim))
     rep.add("dim_output_nulling_w1", str(w1.dim))
-    rep.add("dim_w1_meet_v", str(intersect(w1, v, tol).dim))
-    rep.add("zero_state_attack_exists", str(zero_state_attack_exists(sys, tol)).lower())
+    w1_meet_v = intersect(w1, v, tol)
+    rep.add("dim_w1_meet_v", str(w1_meet_v.dim))
+    # the rule of subspaces.zero_state_attack_exists, on the geometry in hand
+    rep.add("zero_state_attack_exists", str(w1_meet_v.dim > 0).lower())
     rep.add("dim_null_omega_meet_v", str(intersect(scenario.side.null_basis, v, tol).dim))
     try:
         modes = find_zero_dynamics_modes(sys, tol, lambda_hints, allow_unstable)
@@ -179,13 +181,13 @@ def repro_aircraft(
     least a thousand times the unattacked floor; the certificates agree
     with both outcomes.
     """
-    scenario = load_scenario(aircraft_path())
+    tol = Tol(residual_rel=residual_rel)
+    scenario = load_scenario(aircraft_path(), tol)
     sys = scenario.system
-    tol = Tol(rank_rel=1e-10, residual_rel=residual_rel)
     attack = _aircraft_attack(scale)
     x0 = np.zeros(sys.n)
 
-    side = SideInformation(scenario.side.omega, tol)
+    side = scenario.side
     no_side = SideInformation.none(sys.n, tol)
     traj_side = simulate(sys, x0, attack, side)
     traj_none = simulate(sys, x0, attack, no_side)

@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import UndetectabilityCertificate, extension_verdict
 from .errors import HorizonTooShort, NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
 from .model import AttackSequence, LtiSystem, SideInformation, io_matrix, obs_matrix, propagate
-from .numlin import DEFAULT_TOL, Tol, feasible, intersect, solve_min_norm
+from .numlin import DEFAULT_TOL, Tol, feasible, intersect, rank_cut, solve_min_norm
 from .subspaces import output_nulling_reachable, weakly_unobservable
 
 __all__ = [
@@ -42,6 +42,18 @@ _LAMBDA_CAP = 1e6
 # cannot drive an attack, and a vanishing theta block contradicts [B; D]
 # injectivity.
 _BLOCK_FLOOR = 1e-8
+
+# Imaginary parts at or below this (absolute for null-vector entries,
+# relative to 1 + |lambda| for candidates) are rounding noise of a real value.
+_IMAG_NOISE = 1e-12
+
+# A generalized eigenvalue alpha/beta with |beta| at or below this fraction
+# of max(|alpha|, |beta|) is an infinite eigenvalue of the singular E block.
+_INFINITE_BETA = 1e-9
+
+# Candidates closer than this, relative to 1 + |lambda|, are one eigenvalue
+# found twice (by different row compressions or as a hint); one is kept.
+_MERGE_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,14 +86,10 @@ def _modes_at(sys: LtiSystem, lam: complex, tol: Tol) -> list[ZeroDynamicsMode]:
     n = sys.n
     p = _pencil(sys, lam)
     _, sv, vh = np.linalg.svd(p)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        return []
-    rank = int(np.sum(sv > tol.rank_rel * smax))
     out = []
-    for col in vh[rank:].conj():
+    for col in vh[rank_cut(sv, tol):].conj():
         v = _canonical_phase(col)
-        if np.max(np.abs(v.imag)) <= 1e-12 and abs(lam.imag) <= 1e-12:
+        if np.max(np.abs(v.imag)) <= _IMAG_NOISE and abs(lam.imag) <= _IMAG_NOISE:
             v = v.real.astype(complex)
             lam_use = complex(lam.real)
         else:
@@ -90,7 +98,8 @@ def _modes_at(sys: LtiSystem, lam: complex, tol: Tol) -> list[ZeroDynamicsMode]:
         if np.linalg.norm(g) <= _BLOCK_FLOOR or np.linalg.norm(theta) <= _BLOCK_FLOOR:
             continue
         resid = float(np.linalg.norm(_pencil(sys, lam_use) @ v))
-        if resid <= tol.residual_rel * (np.linalg.norm(theta) + np.linalg.norm(g)):
+        # v has unit norm, so the scale ||theta|| + ||g|| is at least 1
+        if feasible(resid, float(np.linalg.norm(theta) + np.linalg.norm(g)), tol):
             out.append(ZeroDynamicsMode(lam_use, g, theta, resid))
     return out
 
@@ -103,7 +112,7 @@ def _finite_gen_eigvals(f: np.ndarray, e: np.ndarray) -> list[complex]:
     alpha, beta = scipy.linalg.eigvals(f, e, homogeneous_eigvals=True)
     vals = []
     for al, be in zip(alpha, beta):
-        if abs(be) <= 1e-9 * max(abs(al), abs(be), 1e-300):
+        if abs(be) <= _INFINITE_BETA * max(abs(al), abs(be), 1e-300):
             continue
         lam = complex(al / be)
         if abs(lam) <= _LAMBDA_CAP:
@@ -140,7 +149,7 @@ def _candidate_lambdas(
     # Fold conjugates onto the closed upper half plane and deduplicate.
     folded = []
     for lam in cands:
-        if abs(lam.imag) <= 1e-12 * (1.0 + abs(lam)):
+        if abs(lam.imag) <= _IMAG_NOISE * (1.0 + abs(lam)):
             lam = complex(lam.real)
         elif lam.imag < 0:
             lam = lam.conjugate()
@@ -148,7 +157,7 @@ def _candidate_lambdas(
     folded.sort(key=lambda z: (z.real, z.imag))
     merged: list[complex] = []
     for lam in folded:
-        if merged and abs(lam - merged[-1]) <= 1e-9 * (1.0 + abs(lam)):
+        if merged and abs(lam - merged[-1]) <= _MERGE_REL * (1.0 + abs(lam)):
             continue
         merged.append(lam)
     return merged
@@ -265,10 +274,9 @@ def undetectable_from_theta(
     if t < sys.n - 1:
         raise HorizonTooShort(f"horizon {t} < {sys.n - 1}")
     tn = float(np.linalg.norm(theta))
-    if float(np.linalg.norm(omega.omega @ theta)) > tol.residual_rel * max(1.0, tn):
+    if not feasible(float(np.linalg.norm(omega.omega @ theta)), tn, tol):
         raise ThetaNotFeasible("theta is visible to the side information")
-    v = weakly_unobservable(sys, tol)
-    if v.residual_outside(theta) > tol.residual_rel * max(1.0, tn):
+    if not weakly_unobservable(sys, tol).contains(theta, tol):
         raise ThetaNotFeasible("theta lies outside the weakly unobservable subspace")
     if tn == 0.0:
         return AttackSequence.zeros(sys.s, t)

@@ -174,17 +174,6 @@ def test_trace_verdict_folding():
     assert trace.first_detection() == 5
 
 
-def test_detector_accepts_matrix_pair(aircraft_sys, aircraft_side, attacked_traj):
-    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=PRINT_TOL)
-    verdict_sys, trace_sys = batch_decide(aircraft_sys, cfg,
-                                          attacked_traj.side_value, attacked_traj)
-    pair = (aircraft_sys.a, aircraft_sys.c)
-    verdict_pair, trace_pair = batch_decide(pair, cfg,
-                                            attacked_traj.side_value, attacked_traj)
-    assert verdict_sys == verdict_pair
-    assert [e.residual for e in trace_sys.epochs] == [e.residual for e in trace_pair.epochs]
-
-
 # an infinity in the window meets inf - inf in the projection first
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("k_bad", [1, 4, 9])

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from ltisec import (
+    DetectorConfig,
+    DetectorSession,
     DimensionMismatch,
+    LtiSystem,
     NonFinite,
     RankDeficient,
+    SideInformation,
     SubspaceBasis,
     Tol,
+    feasible,
     intersect,
     null_space,
     numerical_rank,
@@ -14,6 +19,7 @@ from ltisec import (
     projector,
     solve_min_norm,
 )
+from ltisec.numlin import rank_cut
 
 
 def test_rank_identity():
@@ -196,3 +202,68 @@ def test_tol_validation():
 def test_subspace_basis_rejects_skewed_columns():
     with pytest.raises(ValueError):
         SubspaceBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+# -- the single decision rule: feasible and rank_cut ------------------------
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 3.0, 1e4])
+@pytest.mark.parametrize("tol", [Tol(), Tol(residual_rel=5e-3)])
+def test_feasible_boundary(scale, tol):
+    threshold = tol.residual_rel * max(1.0, scale)
+    assert feasible(threshold, scale, tol)
+    assert not feasible(np.nextafter(threshold, np.inf), scale, tol)
+
+
+@pytest.mark.parametrize("head", [0.5, 1.0, 1e3])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 1.0 + 1e-9, 2.0])
+def test_contains_is_feasible_of_residual_outside(head, ratio):
+    tol = Tol()
+    line = SubspaceBasis(3, np.array([[1.0], [0.0], [0.0]]))
+    v = np.array([head, ratio * tol.residual_rel * max(1.0, head), 0.0])
+    want = feasible(line.residual_outside(v), float(np.linalg.norm(v)), tol)
+    assert line.contains(v, tol) == want
+    if ratio in (0.5, 2.0):
+        assert want == (ratio < 1.0)
+
+
+@pytest.mark.parametrize(
+    "sv,rank_rel,floor,want",
+    [
+        (np.zeros(3), 1e-10, 0.0, 0),
+        (np.zeros(0), 1e-10, 0.0, 0),
+        (np.zeros(3), 1e-10, 1.0, 0),
+        # a singular value exactly at the cut 0.25 * 2.0 is not counted
+        (np.array([2.0, 0.5]), 0.25, 0.0, 1),
+        (np.array([2.0, np.nextafter(0.5, np.inf)]), 0.25, 0.0, 2),
+        # the floor anchors the cut when the spectrum is rounding noise
+        (np.array([1e-12, 1e-13]), 1e-10, 0.0, 2),
+        (np.array([1e-12, 1e-13]), 1e-10, 1.0, 0),
+        # a floor below the largest singular value changes nothing; one above
+        # it raises the cut
+        (np.array([2.0, 0.5]), 0.25, 1e-3, 1),
+        (np.array([2.0, 0.5]), 0.25, 8.0, 0),
+    ],
+)
+def test_rank_cut(sv, rank_rel, floor, want):
+    assert rank_cut(sv, Tol(rank_rel=rank_rel), floor) == want
+
+
+@pytest.mark.parametrize(
+    "k",
+    [np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 1e-12]])],
+    ids=["zero-column", "below-rank-cut"],
+)
+def test_projector_rank_deficient_inputs(k):
+    with pytest.raises(RankDeficient):
+        projector(k)
+
+
+def test_detector_session_first_stack_rank_deficient():
+    # (A, C) is observable, but a huge Omega row pushes [Omega; O] below the
+    # rank cut, so the first epoch's test range is ill-posed
+    sys = LtiSystem(a=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.array([[1.0], [0.0]]),
+                    c=np.array([[1.0, 0.0]]), d=np.zeros((1, 1)))
+    cfg = DetectorConfig(window_len_l=3, omega=SideInformation(np.array([[1e12, 0.0]])))
+    with pytest.raises(RankDeficient):
+        DetectorSession(sys, cfg, np.zeros(1))

@@ -62,14 +62,6 @@ def test_aircraft_scenario_contents(aircraft):
     assert aircraft.x0 is None
 
 
-def test_bundled_copy_matches_checked_in_file():
-    import pathlib
-
-    packaged = aircraft_path().read_bytes()
-    root = pathlib.Path(__file__).resolve().parents[1]
-    assert (root / "scenarios" / "aircraft.json").read_bytes() == packaged
-
-
 def test_load_rejects_unobservable(tmp_path):
     obj = small_scenario_dict()
     obj["A"] = [[0.0, 0.0], [0.0, 0.0]]
