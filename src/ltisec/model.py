@@ -20,8 +20,9 @@ input-output operator, and ``E(T)`` stacks the attack frames a(0..T).
 The verdicts never form ``M_T`` to multiply it by one vector: ``propagate``
 runs the recursion from a given x(0) and returns the outputs, which equal
 ``O_T x(0) + M_T E(T)``, and the final state, which equals
-``A^{T+1} x(0) + C_T E(T)``, in O(T) time and memory.  The dense builders
-below remain for the minimum-norm solves that need the matrix itself.
+``A^{T+1} x(0) + C_T E(T)``, in O(T) time and memory.  No verdict or
+construction calls ``io_matrix`` or ``ctrl_matrix``: they remain as a public
+reference API for the stacked operators.
 """
 
 from __future__ import annotations
@@ -312,12 +313,12 @@ def propagate(
         raise DimensionMismatch(
             f"attack has {attack.s} channels, system expects {sys.s}"
         )
-    a, b, c, d = sys.a, sys.b, sys.c, sys.d
-    ys = np.empty((attack.horizon_t + 1, sys.p))
+    a, b = sys.a, sys.b
+    xs = np.empty((attack.horizon_t + 1, sys.n))
     for k, ak in enumerate(attack.frames):
-        ys[k] = c @ x + d @ ak
+        xs[k] = x
         x = a @ x + b @ ak
-    return ys, x
+    return xs @ sys.c.T + attack.frames @ sys.d.T, x
 
 
 def simulate(

@@ -20,9 +20,9 @@ import numpy as np
 
 from .analysis import UndetectabilityCertificate, extension_verdict
 from .errors import HorizonTooShort, NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
-from .model import AttackSequence, LtiSystem, SideInformation, io_matrix, obs_matrix, propagate
-from .numlin import DEFAULT_TOL, Tol, feasible, intersect, rank_cut, solve_min_norm
-from .subspaces import output_nulling_reachable, weakly_unobservable
+from .model import AttackSequence, LtiSystem, SideInformation, obs_matrix, propagate
+from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, feasible, intersect, rank_cut, solve_min_norm
+from .subspaces import output_nulling_reachable, weakly_unobservable, weakly_unobservable_iterates
 
 __all__ = [
     "ZeroDynamicsMode",
@@ -206,6 +206,73 @@ def zero_dynamics_attack(mode: ZeroDynamicsMode, t: int, scale: float = 1.0) -> 
     return AttackSequence(frames)
 
 
+def _nulling_factor(
+    sys: LtiSystem, v: SubspaceBasis, tol: Tol
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs u with Cx + Du = 0 and Ax + Bu in span(v), for every x that
+    admits one: u = gain @ x + null @ z for free z.
+
+    ``gain`` is the minimum-norm solution -[D; RB]^+ [C; RA] with
+    R = I - vv^T, and ``null`` an orthonormal basis of ker [D; RB].
+    """
+    r = np.eye(sys.n) - v.basis @ v.basis.T
+    lhs = np.vstack([sys.d, r @ sys.b])
+    u, sv, vh = np.linalg.svd(lhs)
+    k = rank_cut(sv, tol)
+    rhs = np.vstack([sys.c, r @ sys.a])
+    gain = -vh[:k].T @ ((u[:, :k].T @ rhs) / sv[:k, None])
+    return gain, vh[k:].T
+
+
+def _nulling_frames(
+    sys: LtiSystem, iterates: list[SubspaceBasis], x0: np.ndarray, t: int, tol: Tol
+) -> np.ndarray | None:
+    """Minimum-norm frames a(0..t) that null the outputs y(0..t) of the
+    recursion started at x0, or None if the solve overflows.
+
+    Minimizing sum ||a(k)||^2 under y(k) = 0 is a strictly convex
+    equality-constrained LQ problem, solved exactly by dynamic programming.
+    The states that admit t - k more nulled outputs after step k form the
+    iterate V_{t-k} of ``weakly_unobservable_iterates``, so step k solves
+
+        min ||u||^2 + ||Ax + Bu||_P^2  s.t.  Cx + Du = 0,  Ax + Bu in V_{t-k}
+
+    with P the cost-to-go of step k+1 (zero after step t).  Writing
+    u = Gx + Nz with (G, N) from ``_nulling_factor`` gives the gain
+    K = G - N S^{-1} (BN)^T P (A + BG), S = I + (BN)^T P BN, since G x is
+    orthogonal to range(N); then P <- (A+BK)^T P (A+BK) + K^T K.  A
+    forward pass a(k) = K_k x(k) yields the frames.  Each distinct iterate
+    is factorized once, so the cost is O(t (n+p+s)^3) time and O(t n s)
+    memory.
+    """
+    a, b = sys.a, sys.b
+    last = len(iterates) - 1
+    factors = []
+    for v in iterates[: min(t, last) + 1]:
+        gain, null = _nulling_factor(sys, v, tol)
+        factors.append((gain, null, a + b @ gain, b @ null, np.eye(null.shape[1])))
+    gains = np.empty((t + 1, sys.s, sys.n))
+    p = np.zeros((sys.n, sys.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(t, -1, -1):
+            gain, null, closed, bn, eye = factors[min(t - k, last)]
+            if null.shape[1]:
+                pbn = p @ bn
+                z = np.linalg.solve(eye + bn.T @ pbn, pbn.T @ closed)
+                gain = gain - null @ z
+                closed = closed - bn @ z
+            p = closed.T @ p @ closed + gain.T @ gain
+            if not np.isfinite(p).all():
+                return None
+            gains[k] = gain
+        frames = np.empty((t + 1, sys.s))
+        x = np.asarray(x0, dtype=float)
+        for k in range(t + 1):
+            frames[k] = gains[k] @ x
+            x = a @ x + b @ frames[k]
+    return frames if np.isfinite(frames).all() else None
+
+
 def zero_state_synthesize(
     sys: LtiSystem, t: int, tol: Tol = DEFAULT_TOL, scale: float = 1.0
 ) -> AttackSequence:
@@ -213,9 +280,9 @@ def zero_state_synthesize(
 
     The first frame lands the state on a direction shared by the one-step
     output-nulling image and the weakly unobservable subspace; subsequent
-    frames are solved step by step to keep the output at zero while the
-    state stays inside that subspace.  The result is normalized so
-    ``||a(0)|| == scale``.
+    frames come from one minimum-norm feedback gain that keeps the output at
+    zero while the state stays inside that subspace.  The result is
+    normalized so ``||a(0)|| == scale``.
 
     Raises
     ------
@@ -236,17 +303,14 @@ def zero_state_synthesize(
     )
     if not feasible(res, float(np.linalg.norm(x1)), tol):
         raise NotSynthesizable("first frame cannot realize the intersection direction")
-    n = sys.n
-    perp = np.eye(n) - v.basis @ v.basis.T
-    lhs = np.vstack([sys.d, perp @ sys.b])
-    frames = [a0]
-    x = x1.copy()
-    for _ in range(t):
-        rhs = -np.concatenate([sys.c @ x, perp @ (sys.a @ x)])
-        u, _ = solve_min_norm(lhs, rhs, tol)
-        frames.append(u)
-        x = sys.a @ x + sys.b @ u
-    arr = np.array(frames)
+    gain, _ = _nulling_factor(sys, v, tol)
+    closed = sys.a + sys.b @ gain
+    arr = np.empty((t + 1, sys.s))
+    arr[0] = a0
+    x = x1
+    for k in range(1, t + 1):
+        arr[k] = gain @ x
+        x = closed @ x
     a0_norm = float(np.linalg.norm(arr[0]))
     if a0_norm > 0.0:
         arr *= scale / a0_norm
@@ -268,7 +332,8 @@ def undetectable_from_theta(
     HorizonTooShort
         If t < n - 1.
     ThetaNotFeasible
-        If theta violates a membership requirement or the solve fails.
+        If theta violates a membership requirement, or the minimum-norm
+        frames overflow or fail verification at this horizon.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if t < sys.n - 1:
@@ -276,15 +341,19 @@ def undetectable_from_theta(
     tn = float(np.linalg.norm(theta))
     if not feasible(float(np.linalg.norm(omega.omega @ theta)), tn, tol):
         raise ThetaNotFeasible("theta is visible to the side information")
-    if not weakly_unobservable(sys, tol).contains(theta, tol):
+    iterates = weakly_unobservable_iterates(sys, tol)
+    if not iterates[-1].contains(theta, tol):
         raise ThetaNotFeasible("theta lies outside the weakly unobservable subspace")
     if tn == 0.0:
         return AttackSequence.zeros(sys.s, t)
-    rhs = -(obs_matrix(sys, t) @ theta)
-    e, res = solve_min_norm(io_matrix(sys, t), rhs, tol)
-    if not feasible(res, float(np.linalg.norm(rhs)), tol):
-        raise ThetaNotFeasible("no attack realizes this theta at the given horizon")
-    return AttackSequence.from_stacked(e, sys.s)
+    frames = _nulling_frames(sys, iterates, theta, t, tol)
+    if frames is not None:
+        attack = AttackSequence(frames)
+        y, _ = propagate(sys, theta, attack)
+        res = float(np.linalg.norm(y))
+        if np.isfinite(res) and feasible(res, float(np.linalg.norm(obs_matrix(sys, t) @ theta)), tol):
+            return attack
+    raise ThetaNotFeasible("no attack realizes this theta at the given horizon")
 
 
 def extend_attack(
@@ -300,7 +369,8 @@ def extend_attack(
 
     The appended frames solve the trailing block of the stacked identity:
     writing w for where the original attack left the shifted state, the
-    tail must null the output of the recursion started at w.
+    tail is the minimum-norm sequence that nulls the output of the
+    recursion started at w.
 
     Raises
     ------
@@ -319,18 +389,18 @@ def extend_attack(
     if theta is None:
         theta = np.zeros(sys.n)
     m = t_prime - attack.horizon_t - 1
-    w = verdict.test_vector
-    tail_rhs = -(obs_matrix(sys, m) @ w)
-    tail, _ = solve_min_norm(io_matrix(sys, m), tail_rhs, tol)
-    frames = np.vstack([attack.frames, tail.reshape(m + 1, sys.s)])
-    ext = AttackSequence(frames)
-    # re-verify at the full horizon, scaled the same way certification is:
-    # against the output from rest M E, not against ||O theta|| (the attack
-    # frames can dwarf theta by orders of magnitude); the run from theta
-    # gives O theta + M E
-    y_rest, _ = propagate(sys, np.zeros(sys.n), ext)
-    y_theta, _ = propagate(sys, theta, ext)
-    full_res = float(np.linalg.norm(y_theta))
-    if not feasible(full_res, float(np.linalg.norm(y_rest)), tol):
-        raise NotExtensible("appended frames fail to keep the attack undetectable")
-    return ext
+    tail = _nulling_frames(
+        sys, weakly_unobservable_iterates(sys, tol), verdict.test_vector, m, tol
+    )
+    if tail is not None:
+        ext = AttackSequence(np.vstack([attack.frames, tail]))
+        # re-verify at the full horizon, scaled the same way certification
+        # is: against the output from rest M E, not against ||O theta|| (the
+        # attack frames can dwarf theta by orders of magnitude); the run from
+        # theta gives O theta + M E
+        y_rest, _ = propagate(sys, np.zeros(sys.n), ext)
+        y_theta, _ = propagate(sys, theta, ext)
+        full_res = float(np.linalg.norm(y_theta))
+        if np.isfinite(full_res) and feasible(full_res, float(np.linalg.norm(y_rest)), tol):
+            return ext
+    raise NotExtensible("appended frames fail to keep the attack undetectable")

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ltisec import (
     AttackSequence,
@@ -15,7 +19,9 @@ from ltisec import (
     is_zero_state_inducing,
     weakly_unobservable,
 )
+from ltisec.subspaces import weakly_unobservable_iterates
 from ltisec.synthesis import (
+    _nulling_frames,
     extend_attack,
     find_zero_dynamics_modes,
     undetectable_from_theta,
@@ -23,7 +29,14 @@ from ltisec.synthesis import (
     zero_state_synthesize,
 )
 
-from oracles import rand_system, undetectable_oracle
+from oracles import (
+    SHAPES,
+    rand_shaped_system,
+    rand_system,
+    stack_io,
+    stack_obs,
+    undetectable_oracle,
+)
 
 # published numbers for the bundled flight-control scenario, rounded to the
 # four digits they were released with
@@ -291,3 +304,141 @@ def test_extended_attacks_stay_undetectable(rng):
         assert np.array_equal(longer.frames[: sys.n + 1], attack.frames)
         hits += 1
     assert hits >= 8
+
+
+def _dense_min_norm(sys, x0, t):
+    """Minimum-norm E with M_t E = -O_t x0 from the oracle stacking, or None
+    when the dense problem is not decided with a margin.
+
+    Margin rule: no singular value of M_t lies in (1e-12, 1e-6] times the
+    largest (so the rank is not a rounding call and the minimizer's
+    condition number is below 1e6), and the minimizer leaves a relative
+    residual of at most 1e-10, a hundred times below the package's default
+    ``residual_rel``.  Non-minimum-phase draws whose exact attack needs
+    |z|^t growth fail the second clause, because their tiny singular values
+    fall below the cut.
+    """
+    m = stack_io(sys.a, sys.b, sys.c, sys.d, t)
+    rhs = -stack_obs(sys.a, sys.c, t) @ x0
+    u, sv, vh = np.linalg.svd(m, full_matrices=False)
+    kept = sv > 1e-6 * sv[0]
+    if np.any((sv > 1e-12 * sv[0]) & ~kept):
+        return None
+    r = int(np.sum(kept))
+    e = vh[:r].T @ ((u[:, :r].T @ rhs) / sv[:r])
+    if np.linalg.norm(m @ e - rhs) > 1e-10 * max(1.0, np.linalg.norm(rhs)):
+        return None
+    return e.reshape(t + 1, sys.s)
+
+
+def _assert_matches_dense(frames, dense):
+    # a condition number below 1e6 bounds the rounding of either solve by
+    # about 1e6 * 1e-16 per unit of norm; 1e-8 leaves a factor 100 for
+    # the stacking and the recursion's accumulation
+    want = float(np.linalg.norm(dense))
+    assert np.linalg.norm(frames - dense) <= 1e-8 * want
+    # the dense minimizer is the smallest solution: the recursion may not
+    # beat it, nor exceed it beyond rounding
+    assert np.linalg.norm(frames) <= (1.0 + 1e-9) * want
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1), t=st.integers(0, 40))
+def test_nulling_frames_match_dense_min_norm(shape, seed, t):
+    # any start in the iterate V_{t+1} admits t+1 nulled outputs; short
+    # horizons reach the tall plants, whose fixed point is V = {0}
+    rng = np.random.default_rng(seed)
+    sys = rand_shaped_system(rng, shape)
+    iterates = weakly_unobservable_iterates(sys)
+    start = iterates[min(t + 1, len(iterates) - 1)]
+    assume(start.dim > 0)
+    x0 = start.basis @ rng.standard_normal(start.dim)
+    dense = _dense_min_norm(sys, x0, t)
+    assume(dense is not None)
+    frames = _nulling_frames(sys, iterates, x0, t, Tol())
+    assert frames is not None
+    _assert_matches_dense(frames, dense)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 36))
+def test_undetectable_from_theta_matches_dense_min_norm(shape, seed, extra):
+    rng = np.random.default_rng(seed)
+    sys = rand_shaped_system(rng, shape)
+    t = sys.n - 1 + extra
+    v = weakly_unobservable(sys)
+    assume(v.dim > 0)
+    theta = v.basis @ rng.standard_normal(v.dim)
+    dense = _dense_min_norm(sys, theta, t)
+    assume(dense is not None)
+    attack = undetectable_from_theta(sys, SideInformation.none(sys.n), theta, t)
+    _assert_matches_dense(attack.frames, dense)
+
+
+@pytest.fixture(scope="module")
+def nonminimum_phase_plant():
+    # (z - 4.5)(z - 0.5) / ((z - 0.2)(z - 0.3)(z - 0.4)) in controllable
+    # form, D = 0: V is the two-dimensional zero-dynamics subspace, and
+    # output-nulling attacks along the z = 4.5 direction grow like 4.5^k
+    den = np.poly([0.2, 0.3, 0.4])
+    a = np.zeros((3, 3))
+    a[:-1, 1:] = np.eye(2)
+    a[-1] = -den[:0:-1]
+    return LtiSystem(a=a, b=np.array([[0.0], [0.0], [1.0]]),
+                     c=np.array([np.poly([4.5, 0.5])[::-1]]), d=np.zeros((1, 1)))
+
+
+# At T = 12 the verified residuals of both constructions sit within 10 % of
+# the threshold (0.91x and 1.08x here), so that horizon is decided by
+# rounding; T = 14 is already 15x above it.  By T = 300 the cost-to-go of
+# the recursion overflows, and by T = 600 so would the frames.
+@pytest.mark.parametrize("t", [14, 60, 300, 600])
+def test_nonminimum_phase_theta_rejected(nonminimum_phase_plant, t):
+    sys = nonminimum_phase_plant
+    theta = weakly_unobservable(sys).basis @ np.array([0.6, 0.8])
+    no_info = SideInformation.none(3)
+    # short horizons are realized and certified
+    short = undetectable_from_theta(sys, no_info, theta, 8)
+    assert certify_undetectable(sys, no_info, short).undetectable
+    with pytest.raises(ThetaNotFeasible):
+        undetectable_from_theta(sys, no_info, theta, t)
+
+
+@pytest.mark.parametrize("t_prime", [14, 60, 300, 600])
+def test_nonminimum_phase_extension_rejected(nonminimum_phase_plant, t_prime):
+    sys = nonminimum_phase_plant
+    no_info = SideInformation.none(3)
+    mode = [m for m in find_zero_dynamics_modes(sys) if abs(m.lam - 4.5) < 1e-6][0]
+    attack = zero_dynamics_attack(mode, 2)
+    cert = certify_undetectable(sys, no_info, attack)
+    longer = extend_attack(sys, no_info, attack, cert, 8)
+    assert certify_undetectable(sys, no_info, longer).undetectable
+    with pytest.raises(NotExtensible):
+        extend_attack(sys, no_info, attack, cert, t_prime)
+
+
+def test_long_horizon_aircraft_synthesis(aircraft_sys):
+    # dense M_T took 24 s for T=1000; the recursion is O(T)
+    no_info = SideInformation.none(4)
+    modes = find_zero_dynamics_modes(aircraft_sys, lambda_hints=[AIR_LAMBDA])
+    mode = [m for m in modes if abs(m.lam - AIR_LAMBDA) < 1e-12][0]
+    theta = 5.0 * mode.theta.real
+    start = time.perf_counter()
+    attack = undetectable_from_theta(aircraft_sys, no_info, theta, 1000)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    cert = certify_undetectable(aircraft_sys, no_info, attack)
+    assert cert.undetectable
+    assert np.linalg.norm(cert.induced_state - theta) <= 1e-6 * np.linalg.norm(theta)
+
+    base = zero_dynamics_attack(mode, 300, 10.0)
+    base_cert = certify_undetectable(aircraft_sys, no_info, base)
+    start = time.perf_counter()
+    longer = extend_attack(aircraft_sys, no_info, base, base_cert, 1000)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert longer.horizon_t == 1000
+    assert np.array_equal(longer.frames[:301], base.frames)
+    cert2 = certify_undetectable(aircraft_sys, no_info, longer)
+    assert cert2.undetectable
+    assert np.linalg.norm(cert2.induced_state - base_cert.induced_state) <= 1e-8
