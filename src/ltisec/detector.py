@@ -9,6 +9,14 @@ decision thresholds the projection residual.
 
 With l >= n+1 the windowed test is exactly as powerful as projecting the
 entire history at once, so nothing is lost by forgetting old frames.
+
+Two paths decide the same epochs.  ``DetectorSession`` (and ``run_detector``
+over it) streams one frame at a time and is the reference.  ``batch_decide``
+takes a whole trajectory and decides the later epochs in blocks of windows
+with one matrix product each; its later residuals and window norms differ
+from the streamed ones by rounding (summation order), so an epoch whose
+residual sits within rounding of its threshold can be decided differently.
+Where the two disagree, the streaming ``DetectorSession`` is authoritative.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from enum import Enum
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
 from .model import LtiSystem, SideInformation, Trajectory, _obs_stack
@@ -36,9 +45,18 @@ __all__ = [
 ]
 
 
+# Later epochs are decided this many windows at a time, so the working set
+# stays O(_BLOCK * l * p) floats whatever the length of the trajectory.
+_BLOCK = 4096
+
+
 class Decision(str, Enum):
     ATTACK = "Attack"
     NO_ATTACK = "NoAttack"
+
+
+# indexed by a feasibility flag: 0 -> attack, 1 -> no attack
+_DECISIONS = np.array([Decision.ATTACK, Decision.NO_ATTACK], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -190,6 +208,50 @@ def batch_decide(
     trajectory: Trajectory,
 ) -> tuple[Decision, DetectionTrace]:
     """Run the detector over a whole trajectory and fold the epoch decisions
-    into one verdict: no attack only if every epoch agrees."""
-    trace = run_detector(sys, config, y_omega, trajectory.outputs)
+    into one verdict: no attack only if every epoch agrees.
+
+    The first epoch (k = l-1) is decided by ``DetectorSession.push`` on the
+    [Omega; O] factor, bit for bit as the streaming detector decides it.
+    The later epochs are decided in blocks of windows, each block with one
+    projection product and one norm per row.  Their residuals agree with the
+    streamed ones to rounding; for an epoch whose residual sits at its
+    threshold, the streaming ``DetectorSession`` is authoritative.
+
+    Raises
+    ------
+    DimensionMismatch
+        If a frame does not have p entries, or the trajectory is shorter
+        than the window.
+    NonFinite
+        If an output is NaN or infinite.
+    RankDeficient
+        As ``DetectorSession``.
+    """
+    session = DetectorSession(sys, config, y_omega)
+    l, p = config.window_len_l, sys.p
+    outputs = trajectory.outputs
+    if outputs.ndim != 2 or outputs.shape[1] != p:
+        raise DimensionMismatch(f"output frames have shape {outputs.shape[1:]}, expected ({p},)")
+    if outputs.shape[0] < l:
+        raise DimensionMismatch(f"trajectory shorter than the window length {l}")
+    finite = np.isfinite(outputs).all(axis=1)
+    if not finite.all():
+        k = max(int(np.argmin(finite)), l - 1)
+        raise NonFinite(f"the window ending at k={k} holds NaN or infinite outputs")
+    for y in outputs[: l - 1]:
+        session.push(y)
+    trace = DetectionTrace([session.push(outputs[l - 1])])
+    q = session._q_later
+    # windows[i] holds frames i..i+l-1 as a (p, l) view; window i ends at k = i+l-1
+    windows = sliding_window_view(outputs, l, axis=0)
+    for start in range(1, windows.shape[0], _BLOCK):
+        w = windows[start : start + _BLOCK].transpose(0, 2, 1).reshape(-1, l * p)
+        residual = np.linalg.norm(w - (w @ q) @ q.T, axis=1)
+        norm = np.linalg.norm(w, axis=1)
+        decisions = _DECISIONS[feasible(residual, norm, config.tol).view(np.int8)]
+        first_k = start + l - 1
+        trace.epochs.extend(map(
+            EpochDecision, range(first_k, first_k + len(w)),
+            decisions.tolist(), residual.tolist(), norm.tolist(),
+        ))
     return trace.verdict, trace

@@ -259,6 +259,13 @@ def solve_min_norm(m, rhs, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     return x, float(np.linalg.norm(a @ x - r))
 
 
-def feasible(residual_norm: float, rhs_norm: float, tol: Tol = DEFAULT_TOL) -> bool:
-    """Scale-aware feasibility decision for a linear system."""
-    return residual_norm <= tol.residual_rel * max(1.0, rhs_norm)
+def feasible(residual_norm, rhs_norm, tol: Tol = DEFAULT_TOL):
+    """Scale-aware feasibility decision for a linear system.
+
+    Floats give a ``bool``.  Arrays are decided elementwise by the same
+    formula and give a boolean array; ``np.fmax`` keeps ``max(1, rhs_norm)``
+    equal to the scalar ``max`` entry for entry.
+    """
+    if isinstance(residual_norm, np.ndarray) or isinstance(rhs_norm, np.ndarray):
+        return residual_norm <= tol.residual_rel * np.fmax(1.0, rhs_norm)
+    return bool(residual_norm <= tol.residual_rel * max(1.0, rhs_norm))

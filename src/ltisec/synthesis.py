@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import UndetectabilityCertificate, extension_verdict
+from .analysis import UndetectabilityCertificate, _extension_verdict
 from .errors import HorizonTooShort, NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
 from .model import AttackSequence, LtiSystem, SideInformation, obs_matrix, propagate
 from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, feasible, intersect, rank_cut, solve_min_norm
@@ -381,7 +381,8 @@ def extend_attack(
     """
     if t_prime <= attack.horizon_t:
         raise ValueError("t_prime must exceed the attack horizon")
-    verdict = extension_verdict(sys, omega, attack, cert, tol)
+    iterates = weakly_unobservable_iterates(sys, tol)
+    verdict = _extension_verdict(sys, attack, cert, iterates[-1], tol)
     if not verdict.extensible_forever:
         raise NotExtensible("the attack parks the shifted state outside the "
                             "weakly unobservable subspace")
@@ -389,9 +390,7 @@ def extend_attack(
     if theta is None:
         theta = np.zeros(sys.n)
     m = t_prime - attack.horizon_t - 1
-    tail = _nulling_frames(
-        sys, weakly_unobservable_iterates(sys, tol), verdict.test_vector, m, tol
-    )
+    tail = _nulling_frames(sys, iterates, verdict.test_vector, m, tol)
     if tail is not None:
         ext = AttackSequence(np.vstack([attack.frames, tail]))
         # re-verify at the full horizon, scaled the same way certification

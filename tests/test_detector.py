@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ltisec import (
     AttackSequence,
@@ -13,13 +15,15 @@ from ltisec import (
     RankDeficient,
     SideInformation,
     Tol,
+    Trajectory,
     batch_decide,
     run_detector,
     simulate,
 )
+from ltisec.detector import _BLOCK
 from ltisec.synthesis import find_zero_dynamics_modes, zero_dynamics_attack
 
-from oracles import full_projection_decide, rand_side, rand_system
+from oracles import SHAPES, full_projection_decide, rand_shaped_system, rand_side, rand_system
 
 PRINT_TOL = Tol(residual_rel=5e-3)
 
@@ -107,8 +111,100 @@ def test_streaming_matches_batch(aircraft_sys, aircraft_side, attacked_traj):
     for a, b in zip(manual, trace.epochs):
         assert a.k == b.k
         assert a.decision == b.decision
-        assert a.residual == b.residual
-        assert a.window_norm == b.window_norm
+    # the first epoch is decided by push itself; the later ones by a blocked
+    # product whose summation order differs, so they agree to rounding
+    assert manual[0].residual == trace.epochs[0].residual
+    assert manual[0].window_norm == trace.epochs[0].window_norm
+    for a, b in zip(manual[1:], trace.epochs[1:]):
+        bound = 1e-12 * max(1.0, a.window_norm)
+        assert abs(a.residual - b.residual) <= bound
+        assert abs(a.window_norm - b.window_norm) <= bound
+
+
+def _streamed(sys, cfg, y_omega, outputs):
+    session = DetectorSession(sys, cfg, y_omega)
+    return [e for e in map(session.push, outputs) if e is not None]
+
+
+# Decisions are compared only on draws decided with a margin: a draw is
+# dropped when any streamed residual lies within a factor 3 of its threshold,
+# where the two paths' rounding could legitimately decide it differently.
+MARGIN = 3.0
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(0, 3),
+    length=st.integers(0, 40),
+    switch_on=st.one_of(st.none(), st.integers(0, 60)),
+)
+def test_batch_matches_streaming_decisions(shape, seed, extra, length, switch_on):
+    rng = np.random.default_rng(seed)
+    sys = rand_shaped_system(rng, shape)
+    side = rand_side(rng, sys.n)
+    l = sys.n + 1 + extra
+    t = l - 1 + length
+    frames = np.zeros((t + 1, sys.s))
+    if switch_on is not None and switch_on <= t:
+        frames[switch_on:] = rng.standard_normal((t + 1 - switch_on, sys.s))
+    traj = simulate(sys, rng.standard_normal(sys.n), AttackSequence(frames), side)
+    cfg = DetectorConfig(window_len_l=l, omega=side, tol=Tol())
+    streamed = _streamed(sys, cfg, traj.side_value, traj.outputs)
+    for e in streamed:
+        threshold = cfg.tol.residual_rel * max(1.0, e.window_norm)
+        assume(not threshold / MARGIN < e.residual < MARGIN * threshold)
+    verdict, trace = batch_decide(sys, cfg, traj.side_value, traj)
+    assert [(e.k, e.decision) for e in trace.epochs] == [(e.k, e.decision) for e in streamed]
+    reference = DetectionTrace(streamed)
+    assert trace.first_detection() == reference.first_detection()
+    assert verdict is reference.verdict
+
+
+def test_batch_indices_across_block_edges(aircraft_sys, aircraft_side):
+    # a log of more than two blocks, with corrupted samples whose windows
+    # straddle both block edges and the end of the log
+    l = 5
+    n_frames = 2 * _BLOCK + 40
+    x0 = np.array([1.0, -1.0, 0.5, 2.0])
+    traj = simulate(aircraft_sys, x0, AttackSequence.zeros(4, n_frames - 1), aircraft_side)
+    # later epoch k sits in block (k - l) // _BLOCK, so the first epoch of
+    # block b is k = b * _BLOCK + l
+    bad = [_BLOCK + l - 2, 2 * _BLOCK + l - 3, n_frames - 2]
+    traj.outputs[bad, 1] += 1.0
+    cfg = DetectorConfig(window_len_l=l, omega=aircraft_side, tol=Tol())
+    verdict, trace = batch_decide(aircraft_sys, cfg, traj.side_value, traj)
+    assert [e.k for e in trace.epochs] == list(range(l - 1, n_frames))
+    fired = [e.k for e in trace.epochs if e.decision is Decision.ATTACK]
+    assert fired == [k for j in bad for k in range(j, min(j + l, n_frames))]
+    assert verdict is Decision.ATTACK
+    streamed = _streamed(aircraft_sys, cfg, traj.side_value, traj.outputs)
+    assert [e.decision for e in trace.epochs] == [e.decision for e in streamed]
+
+
+def test_batch_rejects_wrong_frame_width(aircraft_sys, aircraft_side, attacked_traj):
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    wide = Trajectory(np.hstack([attacked_traj.outputs, attacked_traj.outputs[:, :1]]),
+                      np.zeros(4), attacked_traj.side_value)
+    with pytest.raises(DimensionMismatch):
+        batch_decide(aircraft_sys, cfg, wide.side_value, wide)
+
+
+def test_batch_rejects_trajectory_shorter_than_window(aircraft_sys, aircraft_side):
+    traj = simulate(aircraft_sys, np.zeros(4), AttackSequence.zeros(4, 3), aircraft_side)
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    with pytest.raises(DimensionMismatch):
+        batch_decide(aircraft_sys, cfg, traj.side_value, traj)
+
+
+def test_batch_propagates_rank_deficiency(aircraft_side):
+    sys = LtiSystem(a=np.zeros((4, 4)), b=np.zeros((4, 1)),
+                    c=np.array([[1.0, 0.0, 0.0, 0.0]]), d=np.zeros((1, 1)))
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    traj = Trajectory(np.zeros((8, 1)), np.zeros(4), np.zeros(1))
+    with pytest.raises(RankDeficient):
+        batch_decide(sys, cfg, traj.side_value, traj)
 
 
 def test_sliding_window_matches_full_projection(rng):
@@ -195,6 +291,18 @@ def test_non_finite_frame_raises(aircraft_sys, aircraft_side, k_bad, bad):
             raised_at = k
             break
     assert raised_at == max(k_bad, 4)
+
+
+@pytest.mark.parametrize("k_bad", [1, 4, 9])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_batch_non_finite_output_raises(aircraft_sys, aircraft_side, k_bad, bad):
+    # the trajectory was finite when built; its array is written afterwards
+    x0 = np.array([1.0, -1.0, 0.5, 2.0])
+    traj = simulate(aircraft_sys, x0, AttackSequence.zeros(4, 12), aircraft_side)
+    traj.outputs[k_bad, 0] = bad
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    with pytest.raises(NonFinite, match=f"k={max(k_bad, 4)} "):
+        batch_decide(aircraft_sys, cfg, traj.side_value, traj)
 
 
 def test_non_finite_side_value_rejected(aircraft_sys, aircraft_side):

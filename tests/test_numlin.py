@@ -215,6 +215,25 @@ def test_feasible_boundary(scale, tol):
     assert not feasible(np.nextafter(threshold, np.inf), scale, tol)
 
 
+@pytest.mark.parametrize("tol", [Tol(), Tol(residual_rel=5e-3)])
+def test_feasible_array_matches_scalar(tol):
+    scales = np.array([0.0, 0.5, 1.0, 3.0, 1e4])
+    at = tol.residual_rel * np.fmax(1.0, scales)
+    above = np.nextafter(at, np.inf)
+    residuals = np.concatenate([at, above])
+    norms = np.concatenate([scales, scales])
+    got = feasible(residuals, norms, tol)
+    assert got.dtype == bool
+    assert got.tolist() == [True] * 5 + [False] * 5
+    assert got.tolist() == [feasible(float(r), float(m), tol) for r, m in zip(residuals, norms)]
+
+
+def test_feasible_scalar_is_bool():
+    assert type(feasible(0.0, 1.0)) is bool
+    assert type(feasible(1.0, 1.0)) is bool
+    assert type(feasible(np.float64(0.0), np.float64(1.0))) is bool
+
+
 @pytest.mark.parametrize("head", [0.5, 1.0, 1e3])
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.0 + 1e-9, 2.0])
 def test_contains_is_feasible_of_residual_outside(head, ratio):

@@ -261,6 +261,31 @@ def test_extend_aircraft_mode_attack(aircraft_sys):
     assert np.linalg.norm(cert2.induced_state - cert.induced_state) <= 1e-8
 
 
+def test_extend_computes_the_iterates_once(aircraft_sys, monkeypatch):
+    # extend_attack decides extensibility against the last iterate (V) of the
+    # same list its tail recursion reads, so the ISA recursion runs once
+    import ltisec.subspaces
+    import ltisec.synthesis
+
+    calls = []
+
+    def counted(sys, tol=Tol()):
+        calls.append(sys)
+        return weakly_unobservable_iterates(sys, tol)
+
+    no_info = SideInformation.none(4)
+    modes = find_zero_dynamics_modes(aircraft_sys, lambda_hints=[AIR_LAMBDA])
+    mode = [m for m in modes if abs(m.lam - AIR_LAMBDA) < 1e-12][0]
+    attack = zero_dynamics_attack(mode, 30, 10.0)
+    cert = certify_undetectable(aircraft_sys, no_info, attack)
+    want = extend_attack(aircraft_sys, no_info, attack, cert, 34)
+    monkeypatch.setattr(ltisec.subspaces, "weakly_unobservable_iterates", counted)
+    monkeypatch.setattr(ltisec.synthesis, "weakly_unobservable_iterates", counted)
+    longer = extend_attack(aircraft_sys, no_info, attack, cert, 34)
+    assert len(calls) == 1
+    assert np.array_equal(longer.frames, want.frames)
+
+
 def test_extend_rejects_terminal_kernel_pulse(aircraft_sys, aircraft_side):
     # a final-frame pulse in ker D is silent over the original window but
     # parks the state outside V, so no silent continuation exists
