@@ -38,6 +38,10 @@ from .synthesis import (
 )
 
 
+_HINT_HELP = ("candidate lambda (repeatable); used only where the pencil is scanned: "
+              "wide plants (s > p) and plants with redundant outputs")
+
+
 def _tol(args) -> Tol:
     return Tol() if args.tol is None else Tol(residual_rel=args.tol)
 
@@ -174,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="subspace dimensions and attack existence")
     common(p)
-    p.add_argument("--lambda-hint", action="append", default=[], help="candidate lambda (repeatable)")
+    p.add_argument("--lambda-hint", action="append", default=[], help=_HINT_HELP)
     p.add_argument("--allow-unstable", action="store_true", help="keep modes with |lambda| > 1")
     p.set_defaults(func=_cmd_analyze)
 
@@ -184,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["zero-dynamics", "zero-state", "from-theta", "extend"])
     p.add_argument("--horizon", type=int, default=None, help="attack horizon T")
     p.add_argument("--scale", type=float, default=1.0, help="attack magnitude")
-    p.add_argument("--lambda-hint", action="append", default=[], help="candidate lambda (repeatable)")
+    p.add_argument("--lambda-hint", action="append", default=[], help=_HINT_HELP)
     p.add_argument("--allow-unstable", action="store_true", help="keep modes with |lambda| > 1")
     p.add_argument("--theta", default=None, help="comma-separated initial-state shift")
     p.add_argument("--attack", default=None, help="attack JSON file (kind extend)")

@@ -60,12 +60,21 @@ def _matrix(raw, rows: int, cols: int, name: str) -> np.ndarray:
         arr = arr.reshape(rows, cols)
     if arr.shape != (rows, cols):
         raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {(rows, cols)}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite(f"{name} contains NaN or infinite entries")
     return arr
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer; 30.0 is accepted, 30.7, "30" and booleans are not."""
+    if type(value) not in (int, float) or not float(value).is_integer():
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _attack_from_obj(obj, s: int) -> AttackSequence:
     try:
-        t = int(obj["T"])
+        t = _integer(obj["T"], "attack T")
         frames = np.asarray(obj["frames"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed attack object: {exc}") from exc
@@ -82,9 +91,12 @@ def load_scenario(path, tol: Tol = DEFAULT_TOL) -> Scenario:
     Raises
     ------
     ParseError
-        On unreadable or structurally invalid files.
+        On unreadable or structurally invalid files, non-numeric entries
+        and non-integer dimensions or horizon.
     DimensionMismatch
         On shape inconsistencies.
+    NonFinite
+        On NaN or infinite entries.
     AssumptionViolated
         When the system fails observability or input injectivity.
     """
@@ -94,7 +106,7 @@ def load_scenario(path, tol: Tol = DEFAULT_TOL) -> Scenario:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
     try:
-        n, p, s, q = (int(raw[k]) for k in ("n", "p", "s", "q"))
+        n, p, s, q = (_integer(raw[k], k) for k in ("n", "p", "s", "q"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"scenario {path} is missing dimension fields: {exc}") from exc
     if min(n, p, s, q) < 1:
@@ -114,11 +126,7 @@ def load_scenario(path, tol: Tol = DEFAULT_TOL) -> Scenario:
     if not report.bd_injective:
         raise AssumptionViolated("input injectivity: [B; D] loses column rank")
     side = SideInformation(_matrix(raw["Omega"], q, n, "Omega"), tol)
-    x0 = None
-    if raw.get("x0") is not None:
-        x0 = np.asarray(raw["x0"], dtype=float).reshape(-1)
-        if x0.shape[0] != n:
-            raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {n}")
+    x0 = None if raw.get("x0") is None else _matrix(raw["x0"], n, 1, "x0")[:, 0]
     attack = None
     if raw.get("attack") is not None:
         attack = _attack_from_obj(raw["attack"], s)

@@ -3,7 +3,9 @@
 Four constructions, each returning concrete attack frames:
 
 * geometric-mode attacks a(k) = lambda^k g built from null vectors of the
-  system pencil [lambda I - A, -B; C, D];
+  system pencil [lambda I - A, -B; C, D]: for s <= p from the spectrum of
+  A + BG restricted to the weakly unobservable subspace (G the nulling
+  gain; Basile & Marro, 1992), otherwise by scanning candidate lambdas;
 * arbitrarily long attacks from rest that never touch the output, built
   through the intersection of the one-step output-nulling image with the
   weakly unobservable subspace;
@@ -47,12 +49,8 @@ _BLOCK_FLOOR = 1e-8
 # relative to 1 + |lambda| for candidates) are rounding noise of a real value.
 _IMAG_NOISE = 1e-12
 
-# A generalized eigenvalue alpha/beta with |beta| at or below this fraction
-# of max(|alpha|, |beta|) is an infinite eigenvalue of the singular E block.
-_INFINITE_BETA = 1e-9
-
-# Candidates closer than this, relative to 1 + |lambda|, are one eigenvalue
-# found twice (by different row compressions or as a hint); one is kept.
+# Scanned candidates closer than this, relative to 1 + |lambda|, are one
+# eigenvalue found twice (as an eigenvalue of A and as a hint); one is kept.
 _MERGE_REL = 1e-9
 
 
@@ -82,78 +80,54 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(piv) / np.abs(piv))
 
 
-def _modes_at(sys: LtiSystem, lam: complex, tol: Tol) -> list[ZeroDynamicsMode]:
-    n = sys.n
-    p = _pencil(sys, lam)
-    _, sv, vh = np.linalg.svd(p)
-    out = []
-    for col in vh[rank_cut(sv, tol):].conj():
-        v = _canonical_phase(col)
-        if np.max(np.abs(v.imag)) <= _IMAG_NOISE and abs(lam.imag) <= _IMAG_NOISE:
-            v = v.real.astype(complex)
-            lam_use = complex(lam.real)
-        else:
-            lam_use = lam
-        theta, g = v[:n], v[n:]
-        if np.linalg.norm(g) <= _BLOCK_FLOOR or np.linalg.norm(theta) <= _BLOCK_FLOOR:
-            continue
-        resid = float(np.linalg.norm(_pencil(sys, lam_use) @ v))
-        # v has unit norm, so the scale ||theta|| + ||g|| is at least 1
-        if feasible(resid, float(np.linalg.norm(theta) + np.linalg.norm(g)), tol):
-            out.append(ZeroDynamicsMode(lam_use, g, theta, resid))
-    return out
+def _mode(sys: LtiSystem, lam: complex, v: np.ndarray, tol: Tol) -> ZeroDynamicsMode | None:
+    """Verify a unit-norm candidate null vector v = [theta; g] at lam."""
+    v = _canonical_phase(v)
+    if np.max(np.abs(v.imag)) <= _IMAG_NOISE and abs(lam.imag) <= _IMAG_NOISE:
+        v = v.real.astype(complex)
+        lam = complex(lam.real)
+    theta, g = v[: sys.n], v[sys.n :]
+    if np.linalg.norm(g) <= _BLOCK_FLOOR or np.linalg.norm(theta) <= _BLOCK_FLOOR:
+        return None
+    resid = float(np.linalg.norm(_pencil(sys, lam) @ v))
+    # v has unit norm, so the scale ||theta|| + ||g|| is at least 1
+    if feasible(resid, float(np.linalg.norm(theta) + np.linalg.norm(g)), tol):
+        return ZeroDynamicsMode(lam, g, theta, resid)
+    return None
 
 
-def _finite_gen_eigvals(f: np.ndarray, e: np.ndarray) -> list[complex]:
-    # Imported here, its only use: loading scipy.linalg roughly doubles the
-    # start-up time of commands that never search a square or tall pencil.
-    import scipy.linalg
-
-    alpha, beta = scipy.linalg.eigvals(f, e, homogeneous_eigvals=True)
-    vals = []
-    for al, be in zip(alpha, beta):
-        if abs(be) <= _INFINITE_BETA * max(abs(al), abs(be), 1e-300):
-            continue
-        lam = complex(al / be)
-        if abs(lam) <= _LAMBDA_CAP:
-            vals.append(lam)
-    return vals
+def _real_if_noise(lam: complex) -> complex:
+    return complex(lam.real) if abs(lam.imag) <= _IMAG_NOISE * (1.0 + abs(lam)) else lam
 
 
-def _candidate_lambdas(
-    sys: LtiSystem, lambda_hints: list[complex] | None, tol: Tol
-) -> list[complex]:
-    n, p, s = sys.n, sys.p, sys.s
-    cands: list[complex] = [complex(h) for h in (lambda_hints or [])]
-    if p == s:
-        # Square pencil: the finite generalized eigenvalues of
-        # ([A, B; -C, -D], blkdiag(I, 0)) are exactly the rank-drop points.
-        f = np.block([[sys.a, sys.b], [-sys.c, -sys.d]])
-        e = np.zeros((n + p, n + s))
-        e[:n, :n] = np.eye(n)
-        cands += _finite_gen_eigvals(f, e)
-    elif p > s:
-        # Tall pencil: rank drops are isolated; compress the rows with fixed
-        # random maps and verify every generalized eigenvalue that appears.
-        cands += [complex(l) for l in np.linalg.eigvals(sys.a)]
-        f = np.block([[sys.a, sys.b], [-sys.c, -sys.d]])
-        e = np.zeros((n + p, n + s))
-        e[:n, :n] = np.eye(n)
-        for seed in (0, 1):
-            w = np.random.default_rng(seed).standard_normal((n + s, n + p))
-            cands += _finite_gen_eigvals(w @ f, w @ e)
-    else:
-        # Wide pencil: a null vector exists for generic lambda, so only
-        # caller hints and the eigenvalues of A are scanned.
-        cands += [complex(l) for l in np.linalg.eigvals(sys.a)]
-    # Fold conjugates onto the closed upper half plane and deduplicate.
-    folded = []
-    for lam in cands:
-        if abs(lam.imag) <= _IMAG_NOISE * (1.0 + abs(lam)):
-            lam = complex(lam.real)
-        elif lam.imag < 0:
-            lam = lam.conjugate()
-        folded.append(lam)
+def _restricted_candidates(sys: LtiSystem, tol: Tol) -> list[tuple[complex, np.ndarray]] | None:
+    """Candidate (lambda, [theta; g]) pairs of a plant with s <= p: the
+    eigenpairs (lambda, z) of A + BG restricted to V, theta = Vz, g = G theta.
+    None when the nulling inputs are not unique and the pencil is scanned."""
+    v = weakly_unobservable(sys, tol)
+    if v.dim == 0:
+        raise NoModes("the weakly unobservable subspace is {0}")
+    gain, null = _nulling_factor(sys, v, tol)
+    if null.shape[1]:
+        return None
+    lams, zs = np.linalg.eig(v.basis.T @ (sys.a + sys.b @ gain) @ v.basis)
+    thetas = v.basis @ zs
+    vecs = np.vstack([thetas, gain @ thetas])
+    # conjugate pairs are reported once, from the upper half plane
+    return [(_real_if_noise(complex(lam)), w / np.linalg.norm(w))
+            for lam, w in zip(lams, vecs.T) if lam.imag >= 0 and abs(lam) <= _LAMBDA_CAP]
+
+
+def _null_vectors(sys: LtiSystem, lam: complex, tol: Tol) -> list[tuple[complex, np.ndarray]]:
+    _, sv, vh = np.linalg.svd(_pencil(sys, lam))
+    return [(lam, col) for col in vh[rank_cut(sv, tol):].conj()]
+
+
+def _candidate_lambdas(sys: LtiSystem, lambda_hints: list[complex] | None) -> list[complex]:
+    """Hints and eig(A), folded onto the closed upper half plane and merged."""
+    cands = [complex(h) for h in (lambda_hints or [])]
+    cands += [complex(l) for l in np.linalg.eigvals(sys.a)]
+    folded = [lam if lam.imag >= 0 else lam.conjugate() for lam in map(_real_if_noise, cands)]
     folded.sort(key=lambda z: (z.real, z.imag))
     merged: list[complex] = []
     for lam in folded:
@@ -171,22 +145,26 @@ def find_zero_dynamics_modes(
 ) -> list[ZeroDynamicsMode]:
     """Find verified geometric attack modes of the system pencil.
 
-    Conjugate pairs are reported once, with nonnegative imaginary part.
-    For wide systems (more attack channels than outputs) candidates with
-    |lambda| > 1 are rejected unless ``allow_unstable`` is set, because the
-    resulting frames grow without bound over long horizons.
+    A plant with s <= p whose nulling inputs are unique has finitely many
+    modes, all from one eigenproblem on V; hints are ignored.  A wide plant
+    (s > p), or one with redundant outputs, has a pencil null vector at every
+    lambda, so the pencil is scanned at the hints and the eigenvalues of A.
+    On every scanned pencil, candidates with |lambda| > 1 are rejected unless
+    ``allow_unstable`` is set: their frames grow without bound over long
+    horizons.  Conjugate pairs are reported once, with nonnegative imaginary
+    part.
 
     Raises
     ------
     NoModes
         If no candidate produces a verified null vector.
     """
-    modes: list[ZeroDynamicsMode] = []
-    wide = sys.s > sys.p
-    for lam in _candidate_lambdas(sys, lambda_hints, tol):
-        if wide and not allow_unstable and abs(lam) > 1.0 + tol.residual_rel:
-            continue
-        modes.extend(_modes_at(sys, lam, tol))
+    cands = _restricted_candidates(sys, tol) if sys.s <= sys.p else None
+    if cands is None:
+        cands = [c for lam in _candidate_lambdas(sys, lambda_hints)
+                 if allow_unstable or abs(lam) <= 1.0 + tol.residual_rel
+                 for c in _null_vectors(sys, lam, tol)]
+    modes = [m for m in (_mode(sys, lam, v, tol) for lam, v in cands) if m is not None]
     if not modes:
         raise NoModes("no lambda produced a verified pencil null vector")
     modes.sort(key=lambda m: (m.lam.real, m.lam.imag))

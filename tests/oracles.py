@@ -93,6 +93,91 @@ def full_projection_decide(sys: LtiSystem, omega: np.ndarray, y_omega, outputs,
     return "NoAttack" if ok else "Attack"
 
 
+def pencil_zero_candidates(sys: LtiSystem, infinite_beta: float = 1e-9) -> list[complex]:
+    """Candidate zeros of the pencil [lambda I - A, -B; C, D] for s <= p, with
+    no magnitude cap: the finite generalized eigenvalues of
+    ([A, B; -C, -D], blkdiag(I, 0)) by QZ when p = s; for p > s the
+    eigenvalues of A plus those of two fixed random row compressions of the
+    pencil, each by its own QZ.  An eigenvalue alpha/beta with |beta| at or
+    below ``infinite_beta`` times max(|alpha|, |beta|) is infinite."""
+    n, p, s = sys.n, sys.p, sys.s
+    f = np.block([[sys.a, sys.b], [-sys.c, -sys.d]])
+    e = np.zeros((n + p, n + s))
+    e[:n, :n] = np.eye(n)
+    if p == s:
+        pencils = [(f, e)]
+        cands = []
+    else:
+        maps = [np.random.default_rng(seed).standard_normal((n + s, n + p)) for seed in (0, 1)]
+        pencils = [(w @ f, w @ e) for w in maps]
+        cands = [complex(l) for l in np.linalg.eigvals(sys.a)]
+    for ff, ee in pencils:
+        alpha, beta = scipy.linalg.eigvals(ff, ee, homogeneous_eigvals=True)
+        for al, be in zip(alpha, beta):
+            if abs(be) > infinite_beta * max(abs(al), abs(be), 1e-300):
+                cands.append(complex(al / be))
+    return cands
+
+
+def pencil_modes_oracle(sys: LtiSystem, cap: float = 1e6, rank_rel: float = 1e-10,
+                        rtol: float = 1e-8) -> list[complex]:
+    """Lambdas of the verified pencil null vectors of a plant with s <= p,
+    one entry per null vector, sorted by (real, imag).
+
+    Candidates from ``pencil_zero_candidates`` with |lambda| <= cap are
+    folded onto the closed upper half plane (imaginary parts at most 1e-12
+    relative are dropped) and merged within 1e-9 relative.  At each, the
+    right singular vectors beyond the rank cut (singular values above
+    ``rank_rel`` times the largest) are rotated so their largest entry is
+    positive real, made real when every imaginary part and lambda's is at
+    most 1e-12, and kept when both the theta and g blocks exceed 1e-8 and
+    the pencil residual is at most rtol * max(1, ||theta|| + ||g||)."""
+    n = sys.n
+    folded = []
+    for lam in pencil_zero_candidates(sys):
+        if abs(lam) > cap:
+            continue
+        if abs(lam.imag) <= 1e-12 * (1.0 + abs(lam)):
+            lam = complex(lam.real)
+        elif lam.imag < 0:
+            lam = lam.conjugate()
+        folded.append(lam)
+    folded.sort(key=lambda z: (z.real, z.imag))
+    merged = []
+    for lam in folded:
+        if not merged or abs(lam - merged[-1]) > 1e-9 * (1.0 + abs(lam)):
+            merged.append(lam)
+
+    def pencil(lam):
+        top = np.hstack([lam * np.eye(n) - sys.a, -sys.b])
+        return np.vstack([top, np.hstack([sys.c, sys.d]).astype(complex)])
+
+    found = []
+    for lam in merged:
+        _, sv, vh = np.linalg.svd(pencil(lam))
+        for v in vh[int(np.sum(sv > rank_rel * sv[0])):].conj():
+            i = int(np.argmax(np.abs(v)))
+            v = v * (np.conj(v[i]) / np.abs(v[i]))
+            lam_use = lam
+            if np.max(np.abs(v.imag)) <= 1e-12 and abs(lam.imag) <= 1e-12:
+                v, lam_use = v.real.astype(complex), complex(lam.real)
+            theta_norm, g_norm = np.linalg.norm(v[:n]), np.linalg.norm(v[n:])
+            if min(theta_norm, g_norm) <= 1e-8:
+                continue
+            resid = np.linalg.norm(pencil(lam_use) @ v)
+            if resid <= rtol * max(1.0, theta_norm + g_norm):
+                found.append(lam_use)
+    return sorted(found, key=lambda z: (z.real, z.imag))
+
+
+def ill_conditioned(sys: LtiSystem, rng, log10_cond: float) -> LtiSystem:
+    """The same plant with its states rescaled, x' = T x for a diagonal T
+    with cond(T) = 10**log10_cond and the scales in random order:
+    (T A T^-1, T B, C T^-1, D).  cond(A) grows by up to cond(T)**2."""
+    t = rng.permutation(np.logspace(0.0, -log10_cond, sys.n))
+    return LtiSystem(a=t[:, None] * sys.a / t, b=t[:, None] * sys.b, c=sys.c / t, d=sys.d)
+
+
 def rand_system(rng, nmax=4, pmax=3, smax=3) -> LtiSystem:
     """Random observable system with injective [B; D]; roughly half the
     draws zero out feedthrough columns so ker(D) is nontrivial."""

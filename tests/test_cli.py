@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ltisec
 from ltisec.cli import main
 from ltisec.scenario import aircraft_path
 
@@ -186,3 +191,51 @@ def test_detect_rejects_nan_in_log(aircraft_file, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "k=20" in err
+
+
+def test_scenario_with_nan_x0_exits_1(tmp_path, capsys):
+    # analyze never reads x0, so only the load boundary can reject it
+    obj = json.loads(aircraft_path().read_text())
+    obj["x0"] = [0.0, float("nan"), 0.0, 0.0]
+    path = tmp_path / "nan_x0.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "analyze", "--scenario", str(path))
+    assert code == 1
+    assert "x0" in err
+
+
+# Runs each argv (a JSON list) through the CLI in one fresh interpreter and
+# prints the exit codes and the scipy modules loaded, as the last line.
+_NO_SCIPY_PROBE = """
+import json, sys
+from ltisec.cli import main
+codes = [main(json.loads(argv)) for argv in sys.argv[1:]]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _plant_file(tmp_path, name, c, d):
+    # transfer function (z - 0.4) / ((z - 0.5)(z - 0.3)) on the first output
+    obj = {"n": 2, "p": len(c), "s": 1, "q": 1,
+           "A": [[0.5, 1.0], [0.0, 0.3]], "B": [[0.0], [1.0]], "C": c, "D": d,
+           "Omega": [[1.0, 0.0]]}
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_mode_search_runs_without_scipy(tmp_path):
+    square = _plant_file(tmp_path, "square.json", [[0.1, 1.0]], [[0.0]])
+    tall = _plant_file(tmp_path, "tall.json", [[0.1, 1.0], [1.0, 10.0]], [[0.0], [0.0]])
+    argvs = [["analyze", "--scenario", square], ["analyze", "--scenario", tall],
+             ["synthesize", "--scenario", square, "--kind", "zero-dynamics"]]
+    env = dict(os.environ)
+    src = str(Path(ltisec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE] + [json.dumps(a) for a in argvs],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    codes, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert "lambda=0.4" in run.stdout
+    assert loaded == []

@@ -138,6 +138,58 @@ def test_load_rejects_bad_x0_length(tmp_path):
         load_scenario(path)
 
 
+def _write_scenario(tmp_path, **fields):
+    obj = small_scenario_dict()
+    obj.update(fields)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_load_rejects_nested_x0(tmp_path):
+    # four entries for n=4 would flatten into a valid-looking vector
+    obj = small_scenario_dict()
+    obj["n"] = 4
+    obj["A"] = np.diag([0.5, 0.4, 0.3, 0.2]).tolist()
+    obj["B"] = [[1.0], [1.0], [1.0], [1.0]]
+    obj["C"] = [[1.0, 1.0, 1.0, 1.0]]
+    obj["Omega"] = [[1.0, 0.0, 0.0, 0.0]]
+    obj["x0"] = [[1.0, 2.0], [3.0, 4.0]]
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DimensionMismatch):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_load_rejects_non_finite_x0(tmp_path, bad):
+    with pytest.raises(NonFinite):
+        load_scenario(_write_scenario(tmp_path, x0=[1.0, bad]))
+
+
+def test_load_rejects_non_numeric_x0(tmp_path):
+    with pytest.raises(ParseError):
+        load_scenario(_write_scenario(tmp_path, x0=[1.0, "two"]))
+
+
+@pytest.mark.parametrize("horizon", [1.7, "1", True])
+def test_load_rejects_non_integer_attack_horizon(tmp_path, horizon):
+    # a fractional T used to be truncated to fit the frames
+    path = _write_scenario(tmp_path, attack={"T": horizon, "frames": [[0.0], [0.0]]})
+    with pytest.raises(ParseError):
+        load_scenario(path)
+
+
+def test_load_accepts_integral_float_horizon(tmp_path):
+    scn = load_scenario(_write_scenario(tmp_path, attack={"T": 1.0, "frames": [[0.0], [0.0]]}))
+    assert scn.attack.horizon_t == 1
+
+
+def test_load_rejects_fractional_dimension(tmp_path):
+    with pytest.raises(ParseError):
+        load_scenario(_write_scenario(tmp_path, n=2.5))
+
+
 def test_attack_round_trip(tmp_path, rng):
     attack = AttackSequence(rng.standard_normal((7, 3)))
     path = tmp_path / "attack.json"

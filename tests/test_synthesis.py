@@ -21,6 +21,7 @@ from ltisec import (
 )
 from ltisec.subspaces import weakly_unobservable_iterates
 from ltisec.synthesis import (
+    _LAMBDA_CAP,
     _nulling_frames,
     extend_attack,
     find_zero_dynamics_modes,
@@ -31,6 +32,9 @@ from ltisec.synthesis import (
 
 from oracles import (
     SHAPES,
+    ill_conditioned,
+    pencil_modes_oracle,
+    pencil_zero_candidates,
     rand_shaped_system,
     rand_system,
     stack_io,
@@ -75,14 +79,55 @@ def test_square_planted_zero(square_plant):
     assert abs(square_plant.c @ mode.theta.real)[0] <= 1e-12
 
 
-def test_tall_planted_zero_found_by_compression(square_plant):
+def test_tall_planted_zero_found(square_plant):
     # duplicate sensing with a row orthogonal to the zero direction keeps
-    # the mode alive; it is not an eigenvalue of A, so only the random
-    # row-compression sweep can surface it
+    # the mode alive; it is not an eigenvalue of A, so a scan of eig(A)
+    # would miss it, and the eigenproblem on V finds it
     tall = LtiSystem(a=square_plant.a, b=square_plant.b,
                      c=np.array([[0.1, 1.0], [1.0, 10.0]]), d=np.zeros((2, 1)))
     modes = find_zero_dynamics_modes(tall)
     assert any(abs(m.lam - 0.4) <= 1e-6 for m in modes)
+
+
+def test_zero_beyond_cap_dropped(square_plant):
+    # a feedthrough of 1e-8 adds a zero near -1e8, which tends to infinity
+    # as the feedthrough vanishes; it carries no usable attack and is dropped
+    sys = LtiSystem(a=square_plant.a, b=square_plant.b, c=square_plant.c,
+                    d=np.array([[1e-8]]))
+    modes = find_zero_dynamics_modes(sys)
+    assert len(modes) == 1
+    assert abs(modes[0].lam - 0.4) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def repeated_rows_plant():
+    # p = s = 2 with both output rows equal: the transfer matrix has rank 1,
+    # so a state's nulling input is not unique and the pencil has a null
+    # vector at every lambda
+    return LtiSystem(a=np.array([[0.5, 1.0], [0.0, 0.3]]), b=np.eye(2),
+                     c=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                     d=np.array([[0.0, 1.0], [0.0, 1.0]]))
+
+
+def _pencil_residual_ok(sys, mode):
+    top = np.hstack([mode.lam * np.eye(sys.n) - sys.a, -sys.b])
+    pencil = np.vstack([top, np.hstack([sys.c, sys.d])])
+    v = np.concatenate([mode.theta, mode.g])
+    return np.linalg.norm(pencil @ v) <= 1e-8 * max(1.0, np.linalg.norm(v))
+
+
+def test_repeated_rows_plant_is_scanned(repeated_rows_plant):
+    sys = repeated_rows_plant
+    # a stable hint away from eig(A) yields a verified mode
+    modes = find_zero_dynamics_modes(sys, lambda_hints=[0.2])
+    assert any(abs(m.lam - 0.2) <= 1e-12 for m in modes)
+    # an unstable hint is filtered unless allow_unstable is set
+    kept = find_zero_dynamics_modes(sys, lambda_hints=[0.2, 1.5])
+    assert all(abs(m.lam) <= 1.0 for m in kept)
+    opened = find_zero_dynamics_modes(sys, lambda_hints=[0.2, 1.5], allow_unstable=True)
+    assert any(abs(m.lam - 1.5) <= 1e-12 for m in opened)
+    for m in modes + kept + opened:
+        assert _pencil_residual_ok(sys, m)
 
 
 def test_wide_unstable_candidate_filtered():
@@ -398,6 +443,47 @@ def test_undetectable_from_theta_matches_dense_min_norm(shape, seed, extra):
     assume(dense is not None)
     attack = undetectable_from_theta(sys, SideInformation.none(sys.n), theta, t)
     _assert_matches_dense(attack.frames, dense)
+
+
+def _mode_lambdas(sys):
+    try:
+        return [m.lam for m in find_zero_dynamics_modes(sys)]
+    except NoModes:
+        return []
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(shape=st.sampled_from(("any", "tall", "no_feedthrough", "unstable")),
+       seed=st.integers(0, 2**32 - 1),
+       log10_cond=st.integers(0, 7))
+def test_modes_match_pencil_oracle(shape, seed, log10_cond):
+    """Modes of plants with s <= p against the QZ search of the oracle.
+
+    A draw is a random plant, rescaled in state space by a diagonal T with
+    cond(T) = 10**log10_cond (``oracles.ill_conditioned``; cond(A) grows up
+    to cond(T)**2).  Zeros are invariant under the rescaling, and the
+    oracle's unbalanced QZ loses accuracy on a badly scaled pencil, so the
+    reference is always the oracle on the unscaled plant.
+
+    Margin rules: drop a draw when an oracle candidate zero lies within a
+    factor 3 of ``_LAMBDA_CAP`` (which side of the cap it falls on is a
+    rounding call), or when the rescaled plant's weakly unobservable
+    subspace has another dimension than the unscaled one's (the exact
+    subspaces are similar, so a different dimension means the recursion's
+    rank cuts were decided by rounding at that scaling).
+    """
+    rng = np.random.default_rng(seed)
+    base = rand_system(rng) if shape == "any" else rand_shaped_system(rng, shape)
+    assume(base.s <= base.p)
+    sys = ill_conditioned(base, rng, log10_cond) if log10_cond else base
+    assume(all(not _LAMBDA_CAP / 3 <= abs(z) <= 3 * _LAMBDA_CAP
+               for z in pencil_zero_candidates(base)))
+    assume(weakly_unobservable(sys).dim == weakly_unobservable(base).dim)
+    want = pencil_modes_oracle(base, cap=_LAMBDA_CAP)
+    got = _mode_lambdas(sys)
+    assert len(got) == len(want)
+    for lam, ref in zip(got, want):
+        assert abs(lam - ref) <= 1e-7 * (1.0 + abs(ref))
 
 
 @pytest.fixture(scope="module")
