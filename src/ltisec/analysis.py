@@ -31,7 +31,7 @@ from .model import (
     obs_matrix,
     propagate,
 )
-from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, feasible, intersect, solve_min_norm
+from .numlin import DEFAULT_TOL, Tol, feasible, intersect, solve_min_norm
 from .subspaces import weakly_unobservable
 
 __all__ = [
@@ -173,25 +173,13 @@ def extension_verdict(
     NotUndetectable
         If the certificate reports a detectable attack.
     """
-    return _extension_verdict(sys, attack, cert, weakly_unobservable(sys, tol), tol)
-
-
-def _extension_verdict(
-    sys: LtiSystem,
-    attack: AttackSequence,
-    cert: UndetectabilityCertificate,
-    v: SubspaceBasis,
-    tol: Tol,
-) -> ExtensionVerdict:
-    """``extension_verdict`` against a weakly unobservable subspace ``v``
-    the caller has already computed."""
     if not cert.undetectable:
         raise NotUndetectable("extension analysis applies to undetectable attacks only")
     theta = cert.induced_state
     if theta is None:
         theta = np.zeros(sys.n)
     _, w = propagate(sys, theta, attack)
-    residual = v.residual_outside(w)
+    residual = weakly_unobservable(sys, tol).residual_outside(w)
     ok = feasible(residual, float(np.linalg.norm(w)), tol)
     return ExtensionVerdict(extensible_forever=ok, test_vector=w, membership_residual=residual)
 

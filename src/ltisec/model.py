@@ -60,7 +60,8 @@ def _finite(name: str, m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """The quadruple (A, B, C, D) with dimension accessors n, p, s."""
+    """The quadruple (A, B, C, D) with dimension accessors n, p, s, held as
+    read-only copies so the V-iterates ``subspaces`` keeps on it stay valid."""
 
     a: np.ndarray
     b: np.ndarray
@@ -83,10 +84,12 @@ class LtiSystem:
             raise DimensionMismatch(
                 f"D must be {c.shape[0]}x{b.shape[1]}, got {d.shape}"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        for name, m in zip("abcd", (a, b, c, d)):
+            m = np.array(m)  # a private copy, so the iterates kept below hold
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+        # Tol -> weakly unobservable iterates; read and written by subspaces
+        object.__setattr__(self, "_iterates", {})
 
     @property
     def n(self) -> int:
@@ -141,7 +144,8 @@ class SideInformation:
 
     ``y_omega = Omega x(0)`` is assumed uncorruptible.  The kernel basis
     drives every certificate: undetectable attacks shift the initial state
-    by an element of ker(Omega).
+    by an element of ker(Omega).  ``omega`` is a read-only copy of the
+    array passed in, so the cached kernel always matches it.
     """
 
     omega: np.ndarray
@@ -149,7 +153,8 @@ class SideInformation:
     null_basis: SubspaceBasis = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        om = np.atleast_2d(_finite("Omega", self.omega))
+        om = np.array(np.atleast_2d(_finite("Omega", self.omega)))
+        om.flags.writeable = False
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "null_basis", null_space(om, self.tol))
 

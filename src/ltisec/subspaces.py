@@ -10,6 +10,9 @@ Two families of subspaces decide everything:
 A system admits arbitrarily long attacks that start from the origin, touch
 the output never, and still move the state exactly when W_1 intersects V
 nontrivially.
+
+V decides every verdict, so its iterates are computed once per (system,
+``Tol``) and kept on the immutable ``LtiSystem``, with read-only bases.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import LtiSystem
-from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, intersect, null_space, orth_columns
+from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, intersect, null_space, orth_columns, rank_cut
 
 __all__ = [
     "weakly_unobservable",
@@ -40,7 +43,22 @@ def _isa_step(sys: LtiSystem, v: SubspaceBasis, tol: Tol) -> SubspaceBasis:
     ker = null_space(stacked, tol)
     if ker.dim == 0:
         return SubspaceBasis.zero(n)
-    return orth_columns(ker.basis[:n, :], tol)
+    # the x-block of an orthonormal kernel basis has norm <= 1: a cut anchored
+    # at 1 rejects a block of rounding noise (every kernel direction an input)
+    u, sv, _ = np.linalg.svd(ker.basis[:n, :], full_matrices=False)
+    return SubspaceBasis(n, u[:, :rank_cut(sv, tol, 1.0)].copy())
+
+
+def _isa(sys: LtiSystem, tol: Tol) -> tuple[SubspaceBasis, ...]:
+    seq = [SubspaceBasis.full(sys.n)]
+    for _ in range(sys.n + 1):
+        nxt = _isa_step(sys, seq[-1], tol)
+        seq.append(nxt)
+        if nxt.dim == seq[-2].dim:
+            break
+    for v in seq:
+        v.basis.flags.writeable = False
+    return tuple(seq)
 
 
 def weakly_unobservable_iterates(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> list[SubspaceBasis]:
@@ -48,15 +66,12 @@ def weakly_unobservable_iterates(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> list
 
     The recursion V0 = R^n, V_{i+1} = {x : exists u with Ax+Bu in V_i and
     Cx+Du = 0} is monotone and stabilizes after at most n refinements; the
-    last entry is the fixed point.
+    last entry is the fixed point.  It runs once per (system, ``tol``); each
+    call returns a new list of the kept iterates, whose bases are read-only.
     """
-    seq = [SubspaceBasis.full(sys.n)]
-    for _ in range(sys.n + 1):
-        nxt = _isa_step(sys, seq[-1], tol)
-        seq.append(nxt)
-        if nxt.dim == seq[-2].dim:
-            break
-    return seq
+    if tol not in sys._iterates:
+        sys._iterates[tol] = _isa(sys, tol)
+    return list(sys._iterates[tol])
 
 
 def weakly_unobservable(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import UndetectabilityCertificate, _extension_verdict
+from .analysis import UndetectabilityCertificate, extension_verdict
 from .errors import HorizonTooShort, NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
 from .model import AttackSequence, LtiSystem, SideInformation, obs_matrix, propagate
 from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, feasible, intersect, rank_cut, solve_min_norm
@@ -265,7 +265,7 @@ def zero_state_synthesize(
     Raises
     ------
     NotSynthesizable
-        If the required intersection is trivial.
+        If the required intersection is trivial, or the frames overflow.
     """
     if t < 1:
         raise ValueError("horizon must be at least 1")
@@ -286,12 +286,15 @@ def zero_state_synthesize(
     arr = np.empty((t + 1, sys.s))
     arr[0] = a0
     x = x1
-    for k in range(1, t + 1):
-        arr[k] = gain @ x
-        x = closed @ x
-    a0_norm = float(np.linalg.norm(arr[0]))
-    if a0_norm > 0.0:
-        arr *= scale / a0_norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, t + 1):
+            arr[k] = gain @ x
+            x = closed @ x
+        a0_norm = float(np.linalg.norm(arr[0]))
+        if a0_norm > 0.0:
+            arr *= scale / a0_norm
+    if not np.isfinite(arr).all():
+        raise NotSynthesizable(f"the frames overflow before horizon {t}")
     return AttackSequence(arr)
 
 
@@ -360,7 +363,7 @@ def extend_attack(
     if t_prime <= attack.horizon_t:
         raise ValueError("t_prime must exceed the attack horizon")
     iterates = weakly_unobservable_iterates(sys, tol)
-    verdict = _extension_verdict(sys, attack, cert, iterates[-1], tol)
+    verdict = extension_verdict(sys, omega, attack, cert, tol)
     if not verdict.extensible_forever:
         raise NotExtensible("the attack parks the shifted state outside the "
                             "weakly unobservable subspace")

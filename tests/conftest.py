@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ltisec.subspaces
 from ltisec import Tol, aircraft_path, load_scenario
 
 
@@ -33,3 +34,18 @@ def aircraft_attack(aircraft):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def isa_runs(monkeypatch):
+    """The Tol of every run of the ISA recursion (the fixed-point iteration
+    that computes the weakly unobservable iterates), in call order."""
+    runs = []
+    isa = ltisec.subspaces._isa
+
+    def counted(sys, tol):
+        runs.append(tol)
+        return isa(sys, tol)
+
+    monkeypatch.setattr(ltisec.subspaces, "_isa", counted)
+    return runs

@@ -155,6 +155,45 @@ def test_synthesize_extend_pipeline(aircraft_file, tmp_path, capsys):
     assert code == 0
 
 
+def test_analyze_runs_the_isa_once(tmp_path, capsys, isa_runs):
+    # the dimension lines and the eigenproblem of the mode search (s <= p)
+    # share one V
+    square = _plant_file(tmp_path, "square.json", [[0.1, 1.0]], [[0.0]])
+    code, out, _ = run_cli(capsys, "analyze", "--scenario", square)
+    assert code == 0
+    assert "lambda=0.4" in out
+    assert len(isa_runs) == 1
+
+
+def test_synthesize_extend_runs_the_isa_once(aircraft_file, tmp_path, capsys, isa_runs):
+    # certification and the extension share one V
+    first = tmp_path / "first.json"
+    run_cli(capsys, "synthesize", "--scenario", aircraft_file,
+            "--kind", "zero-state", "--horizon", "8", "--out", str(first))
+    isa_runs.clear()
+    code, _, _ = run_cli(capsys, "synthesize", "--scenario", aircraft_file,
+                         "--kind", "extend", "--attack", str(first), "--horizon", "12")
+    assert code == 0
+    assert len(isa_runs) == 1
+
+
+def test_analyze_relative_degree_2_plant(tmp_path, capsys):
+    # B = e1, C = e2^T, D = 0 under a fixed rotation of the state: V = {0},
+    # and no zero-state attack exists
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2)))
+    obj = {"n": 2, "p": 1, "s": 1, "q": 1,
+           "A": (q @ np.array([[0.5, 0.2], [0.7, 0.3]]) @ q.T).tolist(),
+           "B": (q @ np.array([[1.0], [0.0]])).tolist(),
+           "C": (np.array([[0.0, 1.0]]) @ q.T).tolist(), "D": [[0.0]],
+           "Omega": [[1.0, 0.0]]}
+    path = tmp_path / "reldeg2.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path))
+    assert code == 0
+    assert "dim_weakly_unobservable: 0\n" in out
+    assert "zero_state_attack_exists: false\n" in out
+
+
 def test_from_theta_requires_theta(aircraft_file, capsys):
     code, _, err = run_cli(capsys, "synthesize", "--scenario", aircraft_file,
                            "--kind", "from-theta", "--horizon", "8")

@@ -15,6 +15,7 @@ from ltisec import (
     simulate,
     solve_min_norm,
     validate,
+    weakly_unobservable,
 )
 from ltisec.synthesis import find_zero_dynamics_modes, zero_dynamics_attack
 
@@ -280,3 +281,26 @@ def test_markov_column_brackets_io_norm(shape):
             m = np.linalg.norm(io_matrix(sys, t), 2)
             assert h <= m * (1 + 1e-12)
             assert m <= np.sqrt(t + 1) * h * (1 + 1e-12)
+
+
+def test_lti_system_holds_read_only_copies(aircraft_sys):
+    a = np.array(aircraft_sys.a)
+    sys = LtiSystem(a=a, b=aircraft_sys.b, c=aircraft_sys.c, d=aircraft_sys.d)
+    a[:] = 0.0
+    assert np.array_equal(sys.a, aircraft_sys.a)
+    v, want = weakly_unobservable(sys), weakly_unobservable(aircraft_sys)
+    assert v.dim == want.dim
+    assert np.allclose(v.basis @ v.basis.T, want.basis @ want.basis.T, atol=1e-12)
+    for m in (sys.a, sys.b, sys.c, sys.d):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+def test_side_information_holds_a_read_only_copy():
+    om = np.array([[1.0, 0.0]])
+    side = SideInformation(om)
+    om[:] = [[0.0, 1.0]]
+    assert np.array_equal(side.omega, [[1.0, 0.0]])
+    assert np.linalg.norm(side.omega @ side.null_basis.basis) == 0.0
+    with pytest.raises(ValueError):
+        side.omega[0, 0] = 2.0

@@ -147,6 +147,27 @@ def test_zero_state_attack_matches_stacked_oracle(rng):
     assert agree == 60
 
 
+def rotated_relative_degree_2(rng) -> LtiSystem:
+    # B = e1, C = e2^T, D = 0 with CB = 0 and CAB != 0: relative degree 2 in
+    # two states, so V = {0}; a random orthogonal change of state keeps it so
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    a = np.array([[0.5, 0.2], [0.7, 0.3]])
+    return LtiSystem(a=q @ a @ q.T, b=q @ np.array([[1.0], [0.0]]),
+                     c=np.array([[0.0, 1.0]]) @ q.T, d=np.zeros((1, 1)))
+
+
+def test_v_of_rotated_relative_degree_2_plant_is_zero():
+    # every kernel direction of the last ISA step is a pure input, so the
+    # x-block of the kernel basis is rounding noise and must not pass as a
+    # subspace
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        sys = rotated_relative_degree_2(rng)
+        assert weakly_unobservable(sys).dim == 0
+        assert not zero_state_oracle(sys)
+        assert not zero_state_attack_exists(sys)
+
+
 def test_output_nulling_reachable_rejects_bad_horizon(aircraft_sys):
     with pytest.raises(ValueError):
         output_nulling_reachable(aircraft_sys, 0)

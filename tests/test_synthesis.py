@@ -16,9 +16,13 @@ from ltisec import (
     ThetaNotFeasible,
     Tol,
     certify_undetectable,
+    classify,
+    extension_verdict,
     is_zero_state_inducing,
     weakly_unobservable,
 )
+from ltisec.reports import analyze_report
+from ltisec.scenario import Scenario
 from ltisec.subspaces import weakly_unobservable_iterates
 from ltisec.synthesis import (
     _LAMBDA_CAP,
@@ -232,6 +236,18 @@ def test_zero_state_synthesize_blocked():
         zero_state_synthesize(sys, 6)
 
 
+def test_zero_state_synthesize_overflow_is_not_synthesizable():
+    # the nulling gain leaves the closed loop an eigenvalue near 4.77: the
+    # frames stay finite at T=20 and overflow long before T=500
+    sys = LtiSystem(a=np.array([[5.0, 1.0], [0.0, 0.5]]), b=np.eye(2),
+                    c=np.array([[1.0, 0.0]]), d=np.array([[0.0, 1.0]]))
+    attack = zero_state_synthesize(sys, 20)
+    assert np.isfinite(attack.frames).all()
+    assert is_zero_state_inducing(sys, attack)
+    with pytest.raises(NotSynthesizable):
+        zero_state_synthesize(sys, 500)
+
+
 def test_zero_state_synthesize_planted():
     # two actuators, one of which is invisible to the sensor for one step
     sys = LtiSystem(a=np.array([[0.5, 0.2], [0.1, 0.4]]),
@@ -306,29 +322,41 @@ def test_extend_aircraft_mode_attack(aircraft_sys):
     assert np.linalg.norm(cert2.induced_state - cert.induced_state) <= 1e-8
 
 
-def test_extend_computes_the_iterates_once(aircraft_sys, monkeypatch):
-    # extend_attack decides extensibility against the last iterate (V) of the
-    # same list its tail recursion reads, so the ISA recursion runs once
-    import ltisec.subspaces
-    import ltisec.synthesis
-
-    calls = []
-
-    def counted(sys, tol=Tol()):
-        calls.append(sys)
-        return weakly_unobservable_iterates(sys, tol)
-
+def test_extend_computes_the_iterates_once(aircraft_sys, isa_runs):
+    # extend_attack decides extensibility against V and runs its tail
+    # recursion over the iterates of the same ISA run that certification
+    # started on this system
     no_info = SideInformation.none(4)
     modes = find_zero_dynamics_modes(aircraft_sys, lambda_hints=[AIR_LAMBDA])
     mode = [m for m in modes if abs(m.lam - AIR_LAMBDA) < 1e-12][0]
     attack = zero_dynamics_attack(mode, 30, 10.0)
-    cert = certify_undetectable(aircraft_sys, no_info, attack)
-    want = extend_attack(aircraft_sys, no_info, attack, cert, 34)
-    monkeypatch.setattr(ltisec.subspaces, "weakly_unobservable_iterates", counted)
-    monkeypatch.setattr(ltisec.synthesis, "weakly_unobservable_iterates", counted)
-    longer = extend_attack(aircraft_sys, no_info, attack, cert, 34)
-    assert len(calls) == 1
+    want = extend_attack(aircraft_sys, no_info, attack,
+                         certify_undetectable(aircraft_sys, no_info, attack), 34)
+    fresh = LtiSystem(a=aircraft_sys.a, b=aircraft_sys.b, c=aircraft_sys.c, d=aircraft_sys.d)
+    isa_runs.clear()
+    cert = certify_undetectable(fresh, no_info, attack)
+    longer = extend_attack(fresh, no_info, attack, cert, 34)
+    assert len(isa_runs) == 1
     assert np.array_equal(longer.frames, want.frames)
+
+
+def test_entry_points_run_the_isa_once_per_tol(aircraft, isa_runs):
+    fresh = LtiSystem(a=aircraft.system.a, b=aircraft.system.b,
+                      c=aircraft.system.c, d=aircraft.system.d)
+    scenario = Scenario(fresh, aircraft.side, None, None)
+    tols = (Tol(), Tol(residual_rel=1e-6))
+    for tol in tols:
+        no_info = SideInformation.none(4, tol)
+        modes = find_zero_dynamics_modes(fresh, tol, lambda_hints=[AIR_LAMBDA])
+        attack = zero_dynamics_attack(modes[0], 30)
+        cert = certify_undetectable(fresh, no_info, attack, tol)
+        classify(fresh, aircraft.side, attack, tol)
+        extension_verdict(fresh, no_info, attack, cert, tol)
+        extend_attack(fresh, no_info, attack, cert, 34, tol)
+        undetectable_from_theta(fresh, no_info, cert.induced_state, 30, tol)
+        zero_state_synthesize(fresh, 30, tol)
+        analyze_report(scenario, tol)
+    assert isa_runs == list(tols)
 
 
 def test_extend_rejects_terminal_kernel_pulse(aircraft_sys, aircraft_side):
