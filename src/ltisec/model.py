@@ -88,7 +88,7 @@ class LtiSystem:
             m = np.array(m)  # a private copy, so the iterates kept below hold
             m.flags.writeable = False
             object.__setattr__(self, name, m)
-        # Tol -> weakly unobservable iterates; read and written by subspaces
+        # Tol -> V-iterates and nulling factors; read and written by subspaces
         object.__setattr__(self, "_iterates", {})
 
     @property

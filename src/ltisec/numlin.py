@@ -13,6 +13,7 @@ module, so the thresholding conventions live here and nowhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,8 +265,14 @@ def feasible(residual_norm, rhs_norm, tol: Tol = DEFAULT_TOL):
 
     Floats give a ``bool``.  Arrays are decided elementwise by the same
     formula and give a boolean array; ``np.fmax`` keeps ``max(1, rhs_norm)``
-    equal to the scalar ``max`` entry for entry.
+    equal to the scalar ``max`` entry for entry.  A NaN or infinite
+    ``rhs_norm`` (a norm that overflowed) raises ``NonFinite``: every
+    residual would pass against it.
     """
-    if isinstance(residual_norm, np.ndarray) or isinstance(rhs_norm, np.ndarray):
+    array = isinstance(residual_norm, np.ndarray) or isinstance(rhs_norm, np.ndarray)
+    # math.isfinite keeps the scalar form, one call per detector epoch, cheap
+    if not (np.isfinite(rhs_norm).all() if array else math.isfinite(rhs_norm)):
+        raise NonFinite("the scale of a feasibility decision is not finite (a norm overflowed)")
+    if array:
         return residual_norm <= tol.residual_rel * np.fmax(1.0, rhs_norm)
     return bool(residual_norm <= tol.residual_rel * max(1.0, rhs_norm))

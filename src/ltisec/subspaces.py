@@ -30,35 +30,38 @@ __all__ = [
 ]
 
 
-def _isa_step(sys: LtiSystem, v: SubspaceBasis, tol: Tol) -> SubspaceBasis:
-    """One refinement of {x : exists u, Ax+Bu in span(v) and Cx+Du = 0}."""
-    n, s = sys.n, sys.s
-    # Rows annihilating the current iterate; empty when v is the full space.
-    r = null_space(v.basis.T, tol).basis.T if v.dim else np.eye(n)
-    if r.shape[0]:
-        top = np.hstack([r @ sys.a, r @ sys.b])
-    else:
-        top = np.zeros((0, n + s))
-    stacked = np.vstack([top, np.hstack([sys.c, sys.d])])
-    ker = null_space(stacked, tol)
-    if ker.dim == 0:
-        return SubspaceBasis.zero(n)
-    # the x-block of an orthonormal kernel basis has norm <= 1: a cut anchored
-    # at 1 rejects a block of rounding noise (every kernel direction an input)
-    u, sv, _ = np.linalg.svd(ker.basis[:n, :], full_matrices=False)
-    return SubspaceBasis(n, u[:, :rank_cut(sv, tol, 1.0)].copy())
+def _isa(sys: LtiSystem, tol: Tol) -> tuple[tuple[SubspaceBasis, ...], tuple]:
+    """The iterates V_0 = R^n, V_1, ... and the nulling factor of each.
 
-
-def _isa(sys: LtiSystem, tol: Tol) -> tuple[SubspaceBasis, ...]:
-    seq = [SubspaceBasis.full(sys.n)]
+    With R = I - V_i V_i^T, one SVD [D; RB] = U S W^T of rank k gives the
+    inputs u = G_i x + N_i z that null Cx + Du and put Ax + Bu in V_i:
+    G_i = -W_k S_k^-1 U_k^T [C; RA] and N_i = W_{k:}; and it gives
+    V_{i+1} = ker U_{k:}^T [C; RA].  R is a projector, so the cuts are
+    anchored at ||[B; D]||_2 and ||[C; A]||_2, never at rounding noise.  The
+    last two iterates are one subspace and share one factor.
+    """
+    bd_norm = float(np.linalg.norm(np.vstack([sys.b, sys.d]), 2))
+    ca_norm = float(np.linalg.norm(np.vstack([sys.c, sys.a]), 2))
+    seq, factors = [SubspaceBasis.full(sys.n)], []
     for _ in range(sys.n + 1):
-        nxt = _isa_step(sys, seq[-1], tol)
-        seq.append(nxt)
-        if nxt.dim == seq[-2].dim:
+        r = np.eye(sys.n) - seq[-1].basis @ seq[-1].basis.T
+        rhs = np.vstack([sys.c, r @ sys.a])
+        u, sv, wh = np.linalg.svd(np.vstack([sys.d, r @ sys.b]))
+        k = rank_cut(sv, tol, bd_norm)
+        factors.append((-wh[:k].T @ ((u[:, :k].T @ rhs) / sv[:k, None]), wh[k:].T))
+        seq.append(null_space(u[:, k:].T @ rhs, tol, ca_norm))
+        if seq[-1].dim == seq[-2].dim:
             break
-    for v in seq:
-        v.basis.flags.writeable = False
-    return tuple(seq)
+    factors.append(factors[-1])
+    for m in [v.basis for v in seq] + [m for f in factors for m in f]:
+        m.flags.writeable = False
+    return tuple(seq), tuple(factors)
+
+
+def _kept(sys: LtiSystem, tol: Tol) -> tuple[tuple[SubspaceBasis, ...], tuple]:
+    if tol not in sys._iterates:
+        sys._iterates[tol] = _isa(sys, tol)
+    return sys._iterates[tol]
 
 
 def weakly_unobservable_iterates(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> list[SubspaceBasis]:
@@ -69,9 +72,12 @@ def weakly_unobservable_iterates(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> list
     last entry is the fixed point.  It runs once per (system, ``tol``); each
     call returns a new list of the kept iterates, whose bases are read-only.
     """
-    if tol not in sys._iterates:
-        sys._iterates[tol] = _isa(sys, tol)
-    return list(sys._iterates[tol])
+    return list(_kept(sys, tol)[0])
+
+
+def _nulling_factors(sys: LtiSystem, tol: Tol) -> tuple:
+    """The read-only nulling factor (G_i, N_i) of each iterate V_i; see ``_isa``."""
+    return _kept(sys, tol)[1]
 
 
 def weakly_unobservable(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:

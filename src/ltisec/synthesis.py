@@ -4,8 +4,8 @@ Four constructions, each returning concrete attack frames:
 
 * geometric-mode attacks a(k) = lambda^k g built from null vectors of the
   system pencil [lambda I - A, -B; C, D]: for s <= p from the spectrum of
-  A + BG restricted to the weakly unobservable subspace (G the nulling
-  gain; Basile & Marro, 1992), otherwise by scanning candidate lambdas;
+  A + BG on the weakly unobservable subspace (G the nulling gain kept with
+  V; Basile & Marro, 1992), otherwise by scanning candidate lambdas;
 * arbitrarily long attacks from rest that never touch the output, built
   through the intersection of the one-step output-nulling image with the
   weakly unobservable subspace;
@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import UndetectabilityCertificate, extension_verdict
-from .errors import HorizonTooShort, NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
-from .model import AttackSequence, LtiSystem, SideInformation, obs_matrix, propagate
-from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, feasible, intersect, rank_cut, solve_min_norm
-from .subspaces import output_nulling_reachable, weakly_unobservable, weakly_unobservable_iterates
+from .errors import (DimensionMismatch, HorizonTooShort, NoModes, NotExtensible, NotSynthesizable,
+                     ThetaNotFeasible)
+from .model import AttackSequence, LtiSystem, SideInformation, _finite, obs_matrix, propagate
+from .numlin import DEFAULT_TOL, Tol, feasible, intersect, rank_cut, solve_min_norm
+from .subspaces import _nulling_factors, output_nulling_reachable, weakly_unobservable
 
 __all__ = [
     "ZeroDynamicsMode",
@@ -107,7 +108,7 @@ def _restricted_candidates(sys: LtiSystem, tol: Tol) -> list[tuple[complex, np.n
     v = weakly_unobservable(sys, tol)
     if v.dim == 0:
         raise NoModes("the weakly unobservable subspace is {0}")
-    gain, null = _nulling_factor(sys, v, tol)
+    gain, null = _nulling_factors(sys, tol)[-1]
     if null.shape[1]:
         return None
     lams, zs = np.linalg.eig(v.basis.T @ (sys.a + sys.b @ gain) @ v.basis)
@@ -175,36 +176,18 @@ def zero_dynamics_attack(mode: ZeroDynamicsMode, t: int, scale: float = 1.0) -> 
     """Frames a(k) = scale * Re(lambda^k g) for k = 0..t.
 
     Real modes give exactly the geometric sequence; conjugate-pair modes
-    give its real canonical form.
+    give its real canonical form.  A NaN or infinite ``scale`` raises
+    ``NonFinite``.
     """
     if t < 0:
         raise ValueError("horizon must be nonnegative")
+    _finite("scale", scale)
     powers = mode.lam ** np.arange(t + 1)
     frames = scale * np.real(np.outer(powers, mode.g))
     return AttackSequence(frames)
 
 
-def _nulling_factor(
-    sys: LtiSystem, v: SubspaceBasis, tol: Tol
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs u with Cx + Du = 0 and Ax + Bu in span(v), for every x that
-    admits one: u = gain @ x + null @ z for free z.
-
-    ``gain`` is the minimum-norm solution -[D; RB]^+ [C; RA] with
-    R = I - vv^T, and ``null`` an orthonormal basis of ker [D; RB].
-    """
-    r = np.eye(sys.n) - v.basis @ v.basis.T
-    lhs = np.vstack([sys.d, r @ sys.b])
-    u, sv, vh = np.linalg.svd(lhs)
-    k = rank_cut(sv, tol)
-    rhs = np.vstack([sys.c, r @ sys.a])
-    gain = -vh[:k].T @ ((u[:, :k].T @ rhs) / sv[:k, None])
-    return gain, vh[k:].T
-
-
-def _nulling_frames(
-    sys: LtiSystem, iterates: list[SubspaceBasis], x0: np.ndarray, t: int, tol: Tol
-) -> np.ndarray | None:
+def _nulling_frames(sys: LtiSystem, x0: np.ndarray, t: int, tol: Tol) -> np.ndarray | None:
     """Minimum-norm frames a(0..t) that null the outputs y(0..t) of the
     recursion started at x0, or None if the solve overflows.
 
@@ -216,19 +199,17 @@ def _nulling_frames(
         min ||u||^2 + ||Ax + Bu||_P^2  s.t.  Cx + Du = 0,  Ax + Bu in V_{t-k}
 
     with P the cost-to-go of step k+1 (zero after step t).  Writing
-    u = Gx + Nz with (G, N) from ``_nulling_factor`` gives the gain
+    u = Gx + Nz with the factor (G, N) kept with V_{t-k} gives the gain
     K = G - N S^{-1} (BN)^T P (A + BG), S = I + (BN)^T P BN, since G x is
     orthogonal to range(N); then P <- (A+BK)^T P (A+BK) + K^T K.  A
-    forward pass a(k) = K_k x(k) yields the frames.  Each distinct iterate
-    is factorized once, so the cost is O(t (n+p+s)^3) time and O(t n s)
-    memory.
+    forward pass a(k) = K_k x(k) yields the frames.  Nothing is factorized
+    here, so the cost is O(t (n+s)^3) time and O(t n s) memory.
     """
     a, b = sys.a, sys.b
-    last = len(iterates) - 1
-    factors = []
-    for v in iterates[: min(t, last) + 1]:
-        gain, null = _nulling_factor(sys, v, tol)
-        factors.append((gain, null, a + b @ gain, b @ null, np.eye(null.shape[1])))
+    nulling = _nulling_factors(sys, tol)
+    last = len(nulling) - 1
+    factors = [(gain, null, a + b @ gain, b @ null, np.eye(null.shape[1]))
+               for gain, null in nulling[: min(t, last) + 1]]
     gains = np.empty((t + 1, sys.s, sys.n))
     p = np.zeros((sys.n, sys.n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,11 +245,14 @@ def zero_state_synthesize(
 
     Raises
     ------
+    NonFinite
+        If ``scale`` is NaN or infinite.
     NotSynthesizable
         If the required intersection is trivial, or the frames overflow.
     """
     if t < 1:
         raise ValueError("horizon must be at least 1")
+    _finite("scale", scale)
     v = weakly_unobservable(sys, tol)
     w1 = output_nulling_reachable(sys, 1, tol)
     shared = intersect(w1, v, tol)
@@ -281,7 +265,7 @@ def zero_state_synthesize(
     )
     if not feasible(res, float(np.linalg.norm(x1)), tol):
         raise NotSynthesizable("first frame cannot realize the intersection direction")
-    gain, _ = _nulling_factor(sys, v, tol)
+    gain, _ = _nulling_factors(sys, tol)[-1]
     closed = sys.a + sys.b @ gain
     arr = np.empty((t + 1, sys.s))
     arr[0] = a0
@@ -310,24 +294,27 @@ def undetectable_from_theta(
 
     Raises
     ------
+    NonFinite, DimensionMismatch
+        If theta is not n finite numbers.
     HorizonTooShort
         If t < n - 1.
     ThetaNotFeasible
         If theta violates a membership requirement, or the minimum-norm
         frames overflow or fail verification at this horizon.
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
+    theta = _finite("theta", theta).reshape(-1)
+    if theta.size != sys.n:
+        raise DimensionMismatch(f"theta must have length {sys.n}, got {theta.size}")
     if t < sys.n - 1:
         raise HorizonTooShort(f"horizon {t} < {sys.n - 1}")
     tn = float(np.linalg.norm(theta))
     if not feasible(float(np.linalg.norm(omega.omega @ theta)), tn, tol):
         raise ThetaNotFeasible("theta is visible to the side information")
-    iterates = weakly_unobservable_iterates(sys, tol)
-    if not iterates[-1].contains(theta, tol):
+    if not weakly_unobservable(sys, tol).contains(theta, tol):
         raise ThetaNotFeasible("theta lies outside the weakly unobservable subspace")
     if tn == 0.0:
         return AttackSequence.zeros(sys.s, t)
-    frames = _nulling_frames(sys, iterates, theta, t, tol)
+    frames = _nulling_frames(sys, theta, t, tol)
     if frames is not None:
         attack = AttackSequence(frames)
         y, _ = propagate(sys, theta, attack)
@@ -362,7 +349,6 @@ def extend_attack(
     """
     if t_prime <= attack.horizon_t:
         raise ValueError("t_prime must exceed the attack horizon")
-    iterates = weakly_unobservable_iterates(sys, tol)
     verdict = extension_verdict(sys, omega, attack, cert, tol)
     if not verdict.extensible_forever:
         raise NotExtensible("the attack parks the shifted state outside the "
@@ -371,7 +357,7 @@ def extend_attack(
     if theta is None:
         theta = np.zeros(sys.n)
     m = t_prime - attack.horizon_t - 1
-    tail = _nulling_frames(sys, iterates, verdict.test_vector, m, tol)
+    tail = _nulling_frames(sys, verdict.test_vector, m, tol)
     if tail is not None:
         ext = AttackSequence(np.vstack([attack.frames, tail]))
         # re-verify at the full horizon, scaled the same way certification

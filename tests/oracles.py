@@ -29,6 +29,13 @@ def stack_ctrl(a, b, t):
     return np.hstack([np.linalg.matrix_power(a, t - j) @ b for j in range(t + 1)])
 
 
+def rank_has_margin(sv) -> bool:
+    """Whether singular values (descending) leave the rank decided with a
+    margin: none lies in (1e-12, 1e-6] times the largest, so the rank is not
+    a rounding call and the kept part has condition number below 1e6."""
+    return not np.any((sv > 1e-12 * sv[0]) & (sv <= 1e-6 * sv[0]))
+
+
 def _kernel(m):
     m = np.atleast_2d(m)
     if m.shape[0] == 0:

@@ -7,6 +7,7 @@ from ltisec import (
     AttackSequence,
     HorizonTooShort,
     LtiSystem,
+    NonFinite,
     NotUndetectable,
     SideInformation,
     Tol,
@@ -302,3 +303,20 @@ def test_long_horizon_aircraft_certificates(aircraft_sys, aircraft_side, aircraf
     assert not pinned.undetectable
     assert not zero_state
     assert elapsed < 1.0
+
+
+def test_attack_whose_norm_overflows_is_not_decided():
+    # finite frames up to 6e202 and a last frame of 1e200 leave a last
+    # output near -6e202; the stacked norms overflow, and against an
+    # infinite scale every residual would pass
+    sys = LtiSystem(a=np.array([[5.0, 1.0], [0.0, 0.5]]), b=np.eye(2),
+                    c=np.array([[1.0, 0.0]]), d=np.array([[0.0, 1.0]]))
+    frames = zero_state_synthesize(sys, 300).frames.copy()
+    frames[-1] = 1e200
+    attack = AttackSequence(frames)
+    # the norms overflow by construction; the verdict is what is tested
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFinite):
+            is_zero_state_inducing(sys, attack)
+        with pytest.raises(NonFinite):
+            certify_undetectable(sys, SideInformation.none(2), attack)

@@ -201,6 +201,49 @@ def test_from_theta_requires_theta(aircraft_file, capsys):
     assert err.strip() != ""
 
 
+@pytest.mark.parametrize("theta, message", [("1,0,0", "length 4"),
+                                            ("0,nan,0,0", "NaN or infinite"),
+                                            ("0,inf,0,0", "NaN or infinite")])
+def test_from_theta_rejects_malformed_theta(aircraft_file, capsys, theta, message):
+    code, out, err = run_cli(capsys, "synthesize", "--scenario", aircraft_file,
+                             "--kind", "from-theta", "--horizon", "8", "--theta", theta)
+    assert code == 1
+    assert out == ""
+    assert "theta" in err and message in err
+
+
+@pytest.mark.parametrize("kind", ["zero-dynamics", "zero-state"])
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_synthesize_rejects_a_non_finite_scale(aircraft_file, capsys, kind, scale):
+    code, out, err = run_cli(capsys, "synthesize", "--scenario", aircraft_file, "--kind", kind,
+                             "--horizon", "8", "--scale", scale, "--lambda-hint", "0.9779")
+    assert code == 1
+    assert out == ""
+    assert "scale" in err
+
+
+def test_certify_attack_whose_norm_overflows_exits_1(tmp_path, capsys):
+    # finite frames whose stacked norm overflows: no certificate can be
+    # decided against an infinite scale
+    a, b = np.array([[5.0, 1.0], [0.0, 0.5]]), np.eye(2)
+    c, d = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    frames = ltisec.zero_state_synthesize(ltisec.LtiSystem(a, b, c, d), 300).frames.copy()
+    frames[-1] = 1e200
+    scenario = tmp_path / "unstable.json"
+    scenario.write_text(json.dumps({"n": 2, "p": 1, "s": 2, "q": 1, "A": a.tolist(),
+                                    "B": b.tolist(), "C": c.tolist(), "D": d.tolist(),
+                                    "Omega": [[0.0, 1.0]]}))
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps({"T": 300, "frames": frames.tolist()}))
+    # the norms overflow by construction; the exit code is what is tested
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(capsys, "certify", "--scenario", str(scenario),
+                                 "--attack", str(attack))
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
 def test_missing_scenario_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "--scenario", "/nonexistent/file.json")
     assert code == 1

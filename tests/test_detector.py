@@ -305,6 +305,22 @@ def test_batch_non_finite_output_raises(aircraft_sys, aircraft_side, k_bad, bad)
         batch_decide(aircraft_sys, cfg, traj.side_value, traj)
 
 
+def test_window_whose_norm_overflows_raises(aircraft_sys, aircraft_side):
+    # 1e200 is finite, but the norm of every window holding it overflows
+    x0 = np.array([1.0, -1.0, 0.5, 2.0])
+    traj = simulate(aircraft_sys, x0, AttackSequence.zeros(4, 12), aircraft_side)
+    traj.outputs[9, 0] = 1e200
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    session = DetectorSession(aircraft_sys, cfg, traj.side_value)
+    with np.errstate(over="ignore"):
+        for y in traj.outputs[:9]:
+            session.push(y)
+        with pytest.raises(NonFinite):
+            session.push(traj.outputs[9])
+        with pytest.raises(NonFinite):
+            batch_decide(aircraft_sys, cfg, traj.side_value, traj)
+
+
 def test_non_finite_side_value_rejected(aircraft_sys, aircraft_side):
     cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
     with pytest.raises(NonFinite):

@@ -228,6 +228,15 @@ def test_feasible_array_matches_scalar(tol):
     assert got.tolist() == [feasible(float(r), float(m), tol) for r, m in zip(residuals, norms)]
 
 
+@pytest.mark.parametrize("scale", [np.inf, np.nan])
+def test_feasible_rejects_a_non_finite_scale(scale):
+    # every residual would pass against an infinite scale
+    with pytest.raises(NonFinite):
+        feasible(1e300, scale)
+    with pytest.raises(NonFinite):
+        feasible(np.array([0.0, 1e300]), np.array([1.0, scale]))
+
+
 def test_feasible_scalar_is_bool():
     assert type(feasible(0.0, 1.0)) is bool
     assert type(feasible(1.0, 1.0)) is bool

@@ -14,7 +14,7 @@ from ltisec import (
 from ltisec.numlin import orth_columns
 from ltisec.synthesis import find_zero_dynamics_modes
 
-from oracles import rand_system, stack_io, zero_state_oracle
+from oracles import rand_system, rank_has_margin, stack_io, zero_state_oracle
 
 
 def test_v_trivial_observable_no_feedthrough():
@@ -43,7 +43,9 @@ def test_v_contains_zero_dynamics_state(aircraft_sys, tol):
 
 
 def test_v_basis_vectors_admit_silent_inputs(rng, tol):
-    # each basis direction of V must be explainable away over n steps
+    # each basis direction of V must be explainable away over n steps; draws
+    # whose M_t has no rank margin are skipped, since there the lstsq residual
+    # of a correct basis is decided by rounding (the rule of _dense_min_norm)
     for _ in range(40):
         sys = rand_system(rng)
         v = weakly_unobservable(sys)
@@ -52,6 +54,8 @@ def test_v_basis_vectors_admit_silent_inputs(rng, tol):
         t = sys.n - 1
         obs = obs_matrix(sys, t)
         io = io_matrix(sys, t)
+        if not rank_has_margin(np.linalg.svd(io, compute_uv=False)):
+            continue
         for j in range(v.dim):
             rhs = -(obs @ v.basis[:, j])
             _, res = solve_min_norm(io, rhs)

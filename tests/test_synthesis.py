@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from ltisec import (
     AttackSequence,
+    DimensionMismatch,
     HorizonTooShort,
     LtiSystem,
     NoModes,
+    NonFinite,
     NotExtensible,
     NotSynthesizable,
     SideInformation,
@@ -19,6 +21,7 @@ from ltisec import (
     classify,
     extension_verdict,
     is_zero_state_inducing,
+    numerical_rank,
     weakly_unobservable,
 )
 from ltisec.reports import analyze_report
@@ -38,6 +41,7 @@ from oracles import (
     SHAPES,
     ill_conditioned,
     pencil_modes_oracle,
+    rank_has_margin,
     pencil_zero_candidates,
     rand_shaped_system,
     rand_system,
@@ -299,6 +303,23 @@ def test_undetectable_from_theta_horizon_guard(aircraft_sys, aircraft_side):
         undetectable_from_theta(aircraft_sys, aircraft_side, np.zeros(4), 2)
 
 
+def test_undetectable_from_theta_rejects_malformed_theta(aircraft_sys, aircraft_side):
+    with pytest.raises(DimensionMismatch):
+        undetectable_from_theta(aircraft_sys, aircraft_side, np.zeros(3), 8)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFinite):
+            undetectable_from_theta(aircraft_sys, aircraft_side, np.array([0.0, bad, 0.0, 0.0]), 8)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_synthesis_rejects_a_non_finite_scale(aircraft_sys, scale):
+    mode = find_zero_dynamics_modes(aircraft_sys, lambda_hints=[AIR_LAMBDA])[0]
+    with pytest.raises(NonFinite):
+        zero_dynamics_attack(mode, 8, scale)
+    with pytest.raises(NonFinite):
+        zero_state_synthesize(aircraft_sys, 8, scale=scale)
+
+
 def test_extend_zero_attack(aircraft_sys, aircraft_side):
     attack = AttackSequence.zeros(4, 6)
     cert = certify_undetectable(aircraft_sys, aircraft_side, attack)
@@ -419,10 +440,9 @@ def _dense_min_norm(sys, x0, t):
     m = stack_io(sys.a, sys.b, sys.c, sys.d, t)
     rhs = -stack_obs(sys.a, sys.c, t) @ x0
     u, sv, vh = np.linalg.svd(m, full_matrices=False)
-    kept = sv > 1e-6 * sv[0]
-    if np.any((sv > 1e-12 * sv[0]) & ~kept):
+    if not rank_has_margin(sv):
         return None
-    r = int(np.sum(kept))
+    r = int(np.sum(sv > 1e-6 * sv[0]))
     e = vh[:r].T @ ((u[:, :r].T @ rhs) / sv[:r])
     if np.linalg.norm(m @ e - rhs) > 1e-10 * max(1.0, np.linalg.norm(rhs)):
         return None
@@ -453,7 +473,7 @@ def test_nulling_frames_match_dense_min_norm(shape, seed, t):
     x0 = start.basis @ rng.standard_normal(start.dim)
     dense = _dense_min_norm(sys, x0, t)
     assume(dense is not None)
-    frames = _nulling_frames(sys, iterates, x0, t, Tol())
+    frames = _nulling_frames(sys, x0, t, Tol())
     assert frames is not None
     _assert_matches_dense(frames, dense)
 
@@ -471,6 +491,50 @@ def test_undetectable_from_theta_matches_dense_min_norm(shape, seed, extra):
     assume(dense is not None)
     attack = undetectable_from_theta(sys, SideInformation.none(sys.n), theta, t)
     _assert_matches_dense(attack.frames, dense)
+
+
+def test_from_theta_on_rotated_relative_degree_2_plant_is_min_norm():
+    # companion form with a zero at 0.5 and relative degree 2, so V has
+    # dimension 1.  CB = 0 puts B in V_1 = ker C, and the input block
+    # [D; RB] of V_1 is rounding noise: a rank cut relative to its own
+    # largest singular value took it for rank 1, and gave a gain near 1e15
+    # and frames up to 50 times the minimum norm
+    rng = np.random.default_rng(2)
+    a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.1, -0.2, 0.3]])
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        sys = LtiSystem(a=q @ a @ q.T, b=q[:, 2:], c=np.array([[-0.5, 1.0, 0.0]]) @ q.T,
+                        d=np.zeros((1, 1)))
+        v = weakly_unobservable(sys)
+        assert v.dim == 1
+        for t in (2, 3):
+            dense = _dense_min_norm(sys, v.basis[:, 0], t)
+            assert dense is not None
+            attack = undetectable_from_theta(sys, SideInformation.none(3), v.basis[:, 0], t)
+            _assert_matches_dense(attack.frames, dense)
+
+
+def test_cached_plant_leaves_synthesis_nothing_to_factorize(aircraft_sys, monkeypatch):
+    # the nulling factors are kept with the iterates, so once a plant's
+    # iterates are cached the tail recursions need no factorization
+    no_info = SideInformation.none(4)
+    modes = find_zero_dynamics_modes(aircraft_sys, lambda_hints=[AIR_LAMBDA])
+    mode = [m for m in modes if abs(m.lam - AIR_LAMBDA) < 1e-12][0]
+    attack = zero_dynamics_attack(mode, 30, 10.0)
+    cert = certify_undetectable(aircraft_sys, no_info, attack)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    undetectable_from_theta(aircraft_sys, no_info, mode.theta.real, 12)
+    extend_attack(aircraft_sys, no_info, attack, cert, 34)
+    assert calls == []
+    numerical_rank(aircraft_sys.b)
+    assert len(calls) == 1
 
 
 def _mode_lambdas(sys):
