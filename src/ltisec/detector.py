@@ -22,7 +22,6 @@ Where the two disagree, the streaming ``DetectorSession`` is authoritative.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -31,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
-from .model import LtiSystem, SideInformation, Trajectory, _obs_stack
+from .model import LtiSystem, SideInformation, Trajectory, _memo, _obs_stack
 from .numlin import DEFAULT_TOL, Tol, feasible, orth_columns
 
 __all__ = [
@@ -48,6 +47,8 @@ __all__ = [
 # Later epochs are decided this many windows at a time, so the working set
 # stays O(_BLOCK * l * p) floats whatever the length of the trajectory.
 _BLOCK = 4096
+
+_OVERFLOW = "the window ending at k={k} is finite but its norm overflows"
 
 
 class Decision(str, Enum):
@@ -101,30 +102,42 @@ class DetectionTrace:
         return None
 
 
+def _range_bases(sys: LtiSystem, omega: np.ndarray, l: int, tol: Tol) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only orthonormal bases of the ranges of [Omega; O_{l-1}] and O_{l-1}."""
+    obs = _obs_stack(sys.a, sys.c, l - 1)
+    q_first = orth_columns(np.vstack([omega, obs]), tol)
+    q_later = orth_columns(obs, tol)
+    if q_later.dim < sys.n or q_first.dim < sys.n:
+        raise RankDeficient(
+            "observability stack lost column rank; detector tests are ill-posed"
+        )
+    q_first.basis.flags.writeable = False
+    q_later.basis.flags.writeable = False
+    return q_first.basis, q_later.basis
+
+
 class DetectorSession:
     """Single-owner streaming state: a ring of the last l output frames.
 
-    Orthonormal factors of the two test ranges are computed once here; each
-    ``push`` afterwards costs one projection and one norm.
+    The orthonormal bases of the two test ranges depend only on the plant,
+    l, Omega and the tolerances, so they are computed once per such
+    combination and kept, read-only, on the ``LtiSystem``; every session on
+    that plant and config reuses them.  Each frame is copied twice into a
+    (2l, p) ring, so the window is always one contiguous view, and each
+    ``push`` costs one projection and two norms.
     """
 
     def __init__(self, sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray):
-        n = sys.n
-        tol = config.tol
-        if config.omega.n != n:
+        if config.omega.n != sys.n:
             raise DimensionMismatch(
-                f"Omega has {config.omega.n} columns, state dim is {n}"
+                f"Omega has {config.omega.n} columns, state dim is {sys.n}"
             )
-        l = config.window_len_l
-        obs = _obs_stack(sys.a, sys.c, l - 1)
-        q_first = orth_columns(np.vstack([config.omega.omega, obs]), tol)
-        q_later = orth_columns(obs, tol)
-        if q_later.dim < n or q_first.dim < n:
-            raise RankDeficient(
-                "observability stack lost column rank; detector tests are ill-posed"
-            )
-        self._q_first = q_first.basis
-        self._q_later = q_later.basis
+        l, omega, tol = config.window_len_l, config.omega.omega, config.tol
+        # Omega is a read-only copy, so its bytes identify it
+        key = ("detector", l, omega.shape, omega.tobytes(), tol)
+        self._q_first, self._q_later = _memo(
+            sys, key, lambda: _range_bases(sys, omega, l, tol)
+        )
         self._y_omega = np.asarray(y_omega, float).reshape(-1)
         if self._y_omega.shape[0] != config.omega.q:
             raise DimensionMismatch(
@@ -132,7 +145,9 @@ class DetectorSession:
             )
         if not np.all(np.isfinite(self._y_omega)):
             raise NonFinite("y_omega contains NaN or infinite entries")
-        self._window: deque[np.ndarray] = deque(maxlen=l)
+        # frame k sits in rows k mod l and k mod l + l, so the last l frames
+        # are rows j+1 .. j+l, in order, where j = k mod l
+        self._ring = np.zeros((2 * l, sys.p))
         self._k = -1
         self._p = sys.p
         self.config = config
@@ -140,41 +155,52 @@ class DetectorSession:
     def push(self, y: np.ndarray) -> EpochDecision | None:
         """Feed one output frame; returns a decision once the window fills.
 
+        The frame is copied, so the caller may reuse its array.
+
         Raises
         ------
         DimensionMismatch
             If the frame length is not p.
         NonFinite
-            If the window being decided holds NaN or an infinity: no epoch
-            over it can be decided.  A frame pushed before the window first
-            fills is reported at the first epoch, k = l-1.
+            If the window being decided holds NaN or an infinity, or its norm
+            overflows: no epoch over it can be decided.  A frame pushed before
+            the window first fills is reported at the first epoch, k = l-1.
         """
         y = np.asarray(y, float).reshape(-1)
+        # checked before the copy, which would broadcast a length-1 frame
         if y.shape[0] != self._p:
             raise DimensionMismatch(f"output frame has length {y.shape[0]}, expected {self._p}")
-        self._window.append(y)
         self._k += 1
+        k = self._k
         l = self.config.window_len_l
-        if self._k < l - 1:
+        j = k % l
+        ring = self._ring
+        ring[j] = y
+        ring[j + l] = y
+        if k < l - 1:
             return None
-        stacked = np.concatenate(list(self._window))
-        if self._k == l - 1:
-            test = np.concatenate([self._y_omega, stacked])
+        window = ring[j + 1 : j + 1 + l].reshape(-1)
+        if k == l - 1:
+            test = np.concatenate([self._y_omega, window])
             q = self._q_first
         else:
-            test = stacked
+            test = window
             q = self._q_later
-        residual = float(np.linalg.norm(test - q @ (q.T @ test)))
+        # math.sqrt(x.dot(x)) is np.linalg.norm's own arithmetic for a vector
+        r = test - q @ (q.T @ test)
+        residual = math.sqrt(r.dot(r))
         # A non-finite entry always makes the residual non-finite, so the
         # entries are only inspected when the residual is.
-        if not math.isfinite(residual) and not np.isfinite(stacked).all():
+        if not math.isfinite(residual) and not np.isfinite(window).all():
             raise NonFinite(
-                f"the window ending at k={self._k} holds NaN or infinite outputs"
+                f"the window ending at k={k} holds NaN or infinite outputs"
             )
-        norm = float(np.linalg.norm(test))
+        norm = math.sqrt(test.dot(test))
+        if not math.isfinite(norm):
+            raise NonFinite(_OVERFLOW.format(k=k))
         ok = feasible(residual, norm, self.config.tol)
         return EpochDecision(
-            k=self._k,
+            k=k,
             decision=Decision.NO_ATTACK if ok else Decision.ATTACK,
             residual=residual,
             window_norm=norm,
@@ -223,7 +249,8 @@ def batch_decide(
         If a frame does not have p entries, or the trajectory is shorter
         than the window.
     NonFinite
-        If an output is NaN or infinite.
+        If an output is NaN or infinite, or a window's norm overflows; the
+        error names the first such epoch.
     RankDeficient
         As ``DetectorSession``.
     """
@@ -248,8 +275,11 @@ def batch_decide(
         w = windows[start : start + _BLOCK].transpose(0, 2, 1).reshape(-1, l * p)
         residual = np.linalg.norm(w - (w @ q) @ q.T, axis=1)
         norm = np.linalg.norm(w, axis=1)
-        decisions = _DECISIONS[feasible(residual, norm, config.tol).view(np.int8)]
         first_k = start + l - 1
+        finite = np.isfinite(norm)
+        if not finite.all():
+            raise NonFinite(_OVERFLOW.format(k=first_k + int(np.argmin(finite))))
+        decisions = _DECISIONS[feasible(residual, norm, config.tol).view(np.int8)]
         trace.epochs.extend(map(
             EpochDecision, range(first_k, first_k + len(w)),
             decisions.tolist(), residual.tolist(), norm.tolist(),

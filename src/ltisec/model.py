@@ -61,7 +61,8 @@ def _finite(name: str, m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LtiSystem:
     """The quadruple (A, B, C, D) with dimension accessors n, p, s, held as
-    read-only copies so the V-iterates ``subspaces`` keeps on it stay valid."""
+    read-only copies so the factorizations kept on it stay valid: the
+    V-iterates of ``subspaces`` and the range bases of ``detector``."""
 
     a: np.ndarray
     b: np.ndarray
@@ -85,11 +86,11 @@ class LtiSystem:
                 f"D must be {c.shape[0]}x{b.shape[1]}, got {d.shape}"
             )
         for name, m in zip("abcd", (a, b, c, d)):
-            m = np.array(m)  # a private copy, so the iterates kept below hold
+            m = np.array(m)  # a private copy, so the factorizations kept below hold
             m.flags.writeable = False
             object.__setattr__(self, name, m)
-        # Tol -> V-iterates and nulling factors; read and written by subspaces
-        object.__setattr__(self, "_iterates", {})
+        # key -> read-only factorizations of this plant; see _memo
+        object.__setattr__(self, "_factorizations", {})
 
     @property
     def n(self) -> int:
@@ -102,6 +103,17 @@ class LtiSystem:
     @property
     def s(self) -> int:
         return self.b.shape[1]
+
+
+def _memo(sys: LtiSystem, key, compute):
+    """The factorization kept on ``sys`` under ``key``, computed by
+    ``compute()`` on first use.  A ``compute`` that raises keeps nothing, so
+    the next call raises again.  Threads that race on one key both compute
+    it and keep one of two equal results."""
+    kept = sys._factorizations
+    if key not in kept:
+        kept[key] = compute()
+    return kept[key]
 
 
 @dataclass(frozen=True)

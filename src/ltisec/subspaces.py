@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import LtiSystem
+from .model import LtiSystem, _memo
 from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, intersect, null_space, orth_columns, rank_cut
 
 __all__ = [
@@ -59,9 +59,7 @@ def _isa(sys: LtiSystem, tol: Tol) -> tuple[tuple[SubspaceBasis, ...], tuple]:
 
 
 def _kept(sys: LtiSystem, tol: Tol) -> tuple[tuple[SubspaceBasis, ...], tuple]:
-    if tol not in sys._iterates:
-        sys._iterates[tol] = _isa(sys, tol)
-    return sys._iterates[tol]
+    return _memo(sys, ("isa", tol), lambda: _isa(sys, tol))
 
 
 def weakly_unobservable_iterates(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> list[SubspaceBasis]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import ltisec.detector
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -306,7 +308,8 @@ def test_batch_non_finite_output_raises(aircraft_sys, aircraft_side, k_bad, bad)
 
 
 def test_window_whose_norm_overflows_raises(aircraft_sys, aircraft_side):
-    # 1e200 is finite, but the norm of every window holding it overflows
+    # 1e200 is finite, but the norm of every window holding it overflows;
+    # both paths name the first such window
     x0 = np.array([1.0, -1.0, 0.5, 2.0])
     traj = simulate(aircraft_sys, x0, AttackSequence.zeros(4, 12), aircraft_side)
     traj.outputs[9, 0] = 1e200
@@ -315,10 +318,83 @@ def test_window_whose_norm_overflows_raises(aircraft_sys, aircraft_side):
     with np.errstate(over="ignore"):
         for y in traj.outputs[:9]:
             session.push(y)
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match="k=9 "):
             session.push(traj.outputs[9])
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match="k=9 "):
             batch_decide(aircraft_sys, cfg, traj.side_value, traj)
+
+
+def test_session_copies_each_frame(aircraft_sys, aircraft_side):
+    # a caller that writes every frame into one buffer gets the decisions
+    # of fresh frames, bit for bit
+    x0 = np.array([1.0, -1.0, 0.5, 2.0])
+    traj = simulate(aircraft_sys, x0, AttackSequence.zeros(4, 12), aircraft_side)
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    fresh = run_detector(aircraft_sys, cfg, traj.side_value, [y.copy() for y in traj.outputs])
+    buf = np.empty(3)
+
+    def reused():
+        for y in traj.outputs:
+            buf[:] = y
+            yield buf
+
+    assert fresh.verdict is Decision.NO_ATTACK
+    assert run_detector(aircraft_sys, cfg, traj.side_value, reused()).epochs == fresh.epochs
+    # a length-1 frame would broadcast into a row of the ring
+    session = DetectorSession(aircraft_sys, cfg, traj.side_value)
+    with pytest.raises(DimensionMismatch):
+        session.push(np.array([1.0]))
+
+
+def _fresh(sys):
+    return LtiSystem(sys.a, sys.b, sys.c, sys.d)
+
+
+def test_range_bases_factorized_once_per_plant_and_config(aircraft_sys, aircraft_side,
+                                                         attacked_traj, monkeypatch):
+    sys = _fresh(aircraft_sys)
+    calls = []
+    orth = ltisec.detector.orth_columns
+
+    def counted(m, tol):
+        calls.append(m.shape)
+        return orth(m, tol)
+
+    monkeypatch.setattr(ltisec.detector, "orth_columns", counted)
+    y_omega = attacked_traj.side_value
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=PRINT_TOL)
+    first = _streamed(sys, cfg, y_omega, attacked_traj.outputs)
+    # an equal config built afresh, as each call site builds its own
+    again = DetectorConfig(5, SideInformation(aircraft_side.omega.copy()), PRINT_TOL)
+    assert _streamed(sys, again, y_omega, attacked_traj.outputs) == first
+    _, trace = batch_decide(sys, cfg, y_omega, attacked_traj)
+    assert trace.epochs[0] == first[0]
+    assert calls == [(16, 4), (15, 4)]
+    assert _streamed(aircraft_sys, cfg, y_omega, attacked_traj.outputs) == first
+
+
+def test_each_omega_gets_its_own_first_epoch_basis(aircraft_sys, aircraft_side, attacked_traj):
+    # the attack is caught at k=4 with the aircraft's Omega and invisible
+    # without side information, whose Omega has the same shape
+    sys = _fresh(aircraft_sys)
+    y_omega, outputs = attacked_traj.side_value, attacked_traj.outputs
+    with_side = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=PRINT_TOL)
+    no_side = DetectorConfig(window_len_l=5, omega=SideInformation.none(4), tol=PRINT_TOL)
+    assert no_side.omega.omega.shape == aircraft_side.omega.shape
+    caught = _streamed(sys, with_side, y_omega, outputs)
+    missed = _streamed(sys, no_side, np.zeros(1), outputs)
+    assert caught[0].decision is Decision.ATTACK
+    assert missed == _streamed(_fresh(aircraft_sys), no_side, np.zeros(1), outputs)
+    assert all(e.decision is Decision.NO_ATTACK for e in missed)
+
+
+def test_rank_deficiency_raised_on_every_construction(aircraft_side):
+    sys = LtiSystem(a=np.zeros((4, 4)), b=np.zeros((4, 1)),
+                    c=np.array([[1.0, 0.0, 0.0, 0.0]]), d=np.zeros((1, 1)))
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    for _ in range(2):
+        with pytest.raises(RankDeficient):
+            DetectorSession(sys, cfg, np.zeros(1))
 
 
 def test_non_finite_side_value_rejected(aircraft_sys, aircraft_side):
