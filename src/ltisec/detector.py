@@ -10,13 +10,19 @@ decision thresholds the projection residual.
 With l >= n+1 the windowed test is exactly as powerful as projecting the
 entire history at once, so nothing is lost by forgetting old frames.
 
-Two paths decide the same epochs.  ``DetectorSession`` (and ``run_detector``
-over it) streams one frame at a time and is the reference.  ``batch_decide``
-takes a whole trajectory and decides the later epochs in blocks of windows
-with one matrix product each; its later residuals and window norms differ
-from the streamed ones by rounding (summation order), so an epoch whose
-residual sits within rounding of its threshold can be decided differently.
-Where the two disagree, the streaming ``DetectorSession`` is authoritative.
+Three paths decide the same epochs.
+
+- ``DetectorSession.push`` decides one frame at a time, for callers that
+  receive frames as they happen.  It is the reference.
+- ``run_detector`` takes a whole sequence of frames and ``batch_decide`` a
+  trajectory.  Both decide the epochs in blocks of windows with ``push``'s
+  own arithmetic: one matrix-vector product per projection and one dot
+  product per norm, row by row.  Their residuals and window norms equal the
+  streamed ones bit for bit.
+
+The two whole-log paths report a window holding NaN or an infinity, or one
+whose norm overflows, by its epoch, as ``push`` does, and let no numpy
+warning escape.
 """
 
 from __future__ import annotations
@@ -44,11 +50,13 @@ __all__ = [
 ]
 
 
-# Later epochs are decided this many windows at a time, so the working set
-# stays O(_BLOCK * l * p) floats whatever the length of the trajectory.
+# Whole logs are decided this many windows at a time, so the working set
+# stays O(_BLOCK * l * p) floats whatever the length of the log.
 _BLOCK = 4096
 
+_NON_FINITE = "the window ending at k={k} holds NaN or infinite outputs"
 _OVERFLOW = "the window ending at k={k} is finite but its norm overflows"
+_FRAME_LENGTH = "output frame has length {}, expected {}"
 
 
 class Decision(str, Enum):
@@ -169,7 +177,7 @@ class DetectorSession:
         y = np.asarray(y, float).reshape(-1)
         # checked before the copy, which would broadcast a length-1 frame
         if y.shape[0] != self._p:
-            raise DimensionMismatch(f"output frame has length {y.shape[0]}, expected {self._p}")
+            raise DimensionMismatch(_FRAME_LENGTH.format(y.shape[0], self._p))
         self._k += 1
         k = self._k
         l = self.config.window_len_l
@@ -192,9 +200,7 @@ class DetectorSession:
         # A non-finite entry always makes the residual non-finite, so the
         # entries are only inspected when the residual is.
         if not math.isfinite(residual) and not np.isfinite(window).all():
-            raise NonFinite(
-                f"the window ending at k={k} holds NaN or infinite outputs"
-            )
+            raise NonFinite(_NON_FINITE.format(k=k))
         norm = math.sqrt(test.dot(test))
         if not math.isfinite(norm):
             raise NonFinite(_OVERFLOW.format(k=k))
@@ -207,23 +213,114 @@ class DetectorSession:
         )
 
 
+def _project_rows(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and norm of each row of ``w`` against the range of ``q``, by
+    ``push``'s arithmetic.  On stacked operands matmul makes one gemv per
+    row for each projection and one dot per row for each norm, the BLAS
+    calls ``push`` makes on one window, so every row gets ``push``'s bits."""
+    col = w[:, :, None]
+    r = w - np.matmul(q, np.matmul(q.T, col))[:, :, 0]
+    residual = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    norm = np.sqrt(np.matmul(w[:, None, :], col)[:, 0, 0])
+    return residual, norm
+
+
+def _epochs(tol: Tol, first_k: int, w: np.ndarray, residual: np.ndarray,
+            norm: np.ndarray) -> list[EpochDecision]:
+    """Decisions of the windows ``w[i]``, which end at k = first_k + i.
+
+    Raises ``NonFinite`` at the first window ``push`` would refuse.  A window
+    holding NaN or an infinity always has a non-finite norm, so the norms
+    alone locate it; its entries then tell which message ``push`` gives.
+    """
+    finite = np.isfinite(norm)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        message = _OVERFLOW if np.isfinite(w[i]).all() else _NON_FINITE
+        raise NonFinite(message.format(k=first_k + i))
+    decisions = _DECISIONS[feasible(residual, norm, tol).view(np.int8)]
+    return list(map(
+        EpochDecision, range(first_k, first_k + len(w)),
+        decisions.tolist(), residual.tolist(), norm.tolist(),
+    ))
+
+
+def _decide(session: DetectorSession, frames: np.ndarray) -> DetectionTrace:
+    """Every epoch of the (N, p) frames, N >= l, by ``push``'s arithmetic.
+    The first epoch is decided on the [Omega; O_{l-1}] basis, the later ones
+    on the O_{l-1} basis, ``_BLOCK`` windows at a time."""
+    l, tol = session.config.window_len_l, session.config.tol
+    p = frames.shape[1]
+    first = np.concatenate([session._y_omega, frames[:l].reshape(-1)])[None]
+    # windows[i] holds frames i..i+l-1 as a (p, l) view; window i ends at k = i+l-1
+    windows = sliding_window_view(frames, l, axis=0)
+    # a non-finite or overflowing window raises NonFinite naming its epoch,
+    # so numpy's warnings about it would only repeat the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        epochs = _epochs(tol, l - 1, first, *_project_rows(session._q_first, first))
+        for start in range(1, windows.shape[0], _BLOCK):
+            w = windows[start : start + _BLOCK].transpose(0, 2, 1).reshape(-1, l * p)
+            epochs += _epochs(tol, start + l - 1, w, *_project_rows(session._q_later, w))
+    return DetectionTrace(epochs)
+
+
+def _frames(outputs: Iterable[np.ndarray], p: int) -> tuple[np.ndarray, Exception | None]:
+    """The frames ``push`` would accept, each flattened and copied into one
+    (N, p) array, and the error ``push`` raises at the first frame it
+    refuses, if any.  The copy lets a generator reuse its buffer."""
+    accepted, refused = [], None
+    for y in outputs:
+        try:
+            # push converts a frame the same way, so it raises the same error
+            y = np.array(y, dtype=float).reshape(-1)
+        except Exception as exc:
+            refused = exc
+            break
+        if y.shape[0] != p:
+            refused = DimensionMismatch(_FRAME_LENGTH.format(y.shape[0], p))
+            break
+        accepted.append(y)
+    return np.array(accepted).reshape(-1, p), refused
+
+
 def run_detector(
     sys: LtiSystem,
     config: DetectorConfig,
     y_omega: np.ndarray,
     outputs: Iterable[np.ndarray],
 ) -> DetectionTrace:
-    """Run the streaming detector over a sequence of output frames."""
+    """Decide every epoch of a sequence of output frames, bit for bit as
+    streaming them through ``DetectorSession.push`` would.
+
+    The frames are read up to the first one ``push`` refuses, each copied as
+    it arrives, so a generator may reuse its buffer; then the epochs are
+    decided in blocks of windows with ``push``'s own arithmetic, so every
+    residual and window norm equals the streamed one.  Unlike the stream,
+    the frames after an epoch that ``push`` refuses are still read.
+
+    Raises
+    ------
+    DimensionMismatch
+        If a frame does not have p entries, or the stream is shorter than
+        the window.
+    NonFinite, RankDeficient
+        As ``DetectorSession.push``.
+    TypeError, ValueError, ...
+        Whatever ``push`` raises for a frame it cannot convert to floats.
+
+    Every error is the one ``push`` raises first when the frames are
+    streamed through it.
+    """
     session = DetectorSession(sys, config, y_omega)
-    trace = DetectionTrace()
-    for y in outputs:
-        epoch = session.push(y)
-        if epoch is not None:
-            trace.epochs.append(epoch)
-    if not trace.epochs:
-        raise DimensionMismatch(
-            f"stream shorter than the window length {config.window_len_l}"
-        )
+    frames, refused = _frames(outputs, sys.p)
+    l = config.window_len_l
+    # push decides every epoch before the first frame it refuses, so a
+    # window there that it cannot decide is reported first
+    trace = _decide(session, frames) if len(frames) >= l else None
+    if refused is not None:
+        raise refused
+    if trace is None:
+        raise DimensionMismatch(f"stream shorter than the window length {l}")
     return trace
 
 
@@ -236,12 +333,8 @@ def batch_decide(
     """Run the detector over a whole trajectory and fold the epoch decisions
     into one verdict: no attack only if every epoch agrees.
 
-    The first epoch (k = l-1) is decided by ``DetectorSession.push`` on the
-    [Omega; O] factor, bit for bit as the streaming detector decides it.
-    The later epochs are decided in blocks of windows, each block with one
-    projection product and one norm per row.  Their residuals agree with the
-    streamed ones to rounding; for an epoch whose residual sits at its
-    threshold, the streaming ``DetectorSession`` is authoritative.
+    The epochs are decided as ``run_detector`` decides them, so every
+    residual and window norm equals the streamed one bit for bit.
 
     Raises
     ------
@@ -249,7 +342,7 @@ def batch_decide(
         If a frame does not have p entries, or the trajectory is shorter
         than the window.
     NonFinite
-        If an output is NaN or infinite, or a window's norm overflows; the
+        If a window holds NaN or an infinity, or its norm overflows; the
         error names the first such epoch.
     RankDeficient
         As ``DetectorSession``.
@@ -261,27 +354,5 @@ def batch_decide(
         raise DimensionMismatch(f"output frames have shape {outputs.shape[1:]}, expected ({p},)")
     if outputs.shape[0] < l:
         raise DimensionMismatch(f"trajectory shorter than the window length {l}")
-    finite = np.isfinite(outputs).all(axis=1)
-    if not finite.all():
-        k = max(int(np.argmin(finite)), l - 1)
-        raise NonFinite(f"the window ending at k={k} holds NaN or infinite outputs")
-    for y in outputs[: l - 1]:
-        session.push(y)
-    trace = DetectionTrace([session.push(outputs[l - 1])])
-    q = session._q_later
-    # windows[i] holds frames i..i+l-1 as a (p, l) view; window i ends at k = i+l-1
-    windows = sliding_window_view(outputs, l, axis=0)
-    for start in range(1, windows.shape[0], _BLOCK):
-        w = windows[start : start + _BLOCK].transpose(0, 2, 1).reshape(-1, l * p)
-        residual = np.linalg.norm(w - (w @ q) @ q.T, axis=1)
-        norm = np.linalg.norm(w, axis=1)
-        first_k = start + l - 1
-        finite = np.isfinite(norm)
-        if not finite.all():
-            raise NonFinite(_OVERFLOW.format(k=first_k + int(np.argmin(finite))))
-        decisions = _DECISIONS[feasible(residual, norm, config.tol).view(np.int8)]
-        trace.epochs.extend(map(
-            EpochDecision, range(first_k, first_k + len(w)),
-            decisions.tolist(), residual.tolist(), norm.tolist(),
-        ))
+    trace = _decide(session, outputs)
     return trace.verdict, trace

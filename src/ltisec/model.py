@@ -330,11 +330,14 @@ def propagate(
         raise DimensionMismatch(
             f"attack has {attack.s} channels, system expects {sys.s}"
         )
-    a, b = sys.a, sys.b
+    a = sys.a
+    # B a(k) for every k at once: matmul over stacked operands makes the
+    # same gemv per frame as ``sys.b @ a(k)``, so the states keep their bits
+    bu = np.matmul(sys.b, attack.frames[:, :, None])[:, :, 0]
     xs = np.empty((attack.horizon_t + 1, sys.n))
-    for k, ak in enumerate(attack.frames):
+    for k, b_ak in enumerate(bu):
         xs[k] = x
-        x = a @ x + b @ ak
+        x = a @ x + b_ak
     return xs @ sys.c.T + attack.frames @ sys.d.T, x
 
 

@@ -195,8 +195,7 @@ def repro_aircraft(
     cfg_side = DetectorConfig(window_len_l=window, omega=side, tol=tol)
     cfg_none = DetectorConfig(window_len_l=window, omega=no_side, tol=tol)
     # The report prints every residual and the noise-level floor at 12
-    # digits, so it runs the streaming detector, whose rounding is the
-    # reference; batch_decide agrees with it only to rounding.
+    # digits; run_detector's residuals are the streamed ones bit for bit.
     trace_none = run_detector(sys, cfg_none, traj_none.side_value, traj_none.outputs)
     trace_side = run_detector(sys, cfg_side, traj_side.side_value, traj_side.outputs)
     verdict_none = trace_none.verdict

@@ -173,13 +173,15 @@ def load_log(path) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ParseError(f"log {path} lacks a y_omega header: {exc}") from exc
     if not np.all(np.isfinite(y_omega)):
         raise NonFinite(f"log {path} has a non-finite y_omega")
-    records = []
-    for ln in lines[1:]:
-        try:
-            rec = json.loads(ln)
-            records.append((int(rec["k"]), np.asarray(rec["y"], dtype=float).reshape(-1)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed log record in {path}: {exc}") from exc
+    records = _records_at_once(lines[1:])
+    if records is None:
+        records = []
+        for ln in lines[1:]:
+            try:
+                rec = json.loads(ln)
+                records.append((int(rec["k"]), np.asarray(rec["y"], dtype=float).reshape(-1)))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"malformed log record in {path}: {exc}") from exc
     records.sort(key=lambda r: r[0])
     if [k for k, _ in records] != list(range(len(records))):
         raise ParseError(f"log {path} has missing or duplicate time indices")
@@ -190,10 +192,39 @@ def load_log(path) -> tuple[np.ndarray, list[np.ndarray]]:
     return y_omega, outputs
 
 
+def _records_at_once(lines: list[str]) -> list[tuple[int, np.ndarray]] | None:
+    """The (k, y) records of the log's record lines, from one parse of all of
+    them, or None when they must be read line by line.
+
+    The lines are joined into one JSON array.  When every line starts with
+    "{", no other "{" occurs and the array holds one object per line, no
+    object can nest another or reach past its line, so each object is one
+    whole line and equals what parsing that line alone gives.  Indices that
+    are not plain integers, outputs of unequal shapes and every malformed
+    record are left to the line-by-line reading, which reports them.
+    """
+    n = len(lines)
+    text = "[" + ",\n".join(lines) + "]"
+    if not (text.startswith("[{") and text.count("{") == n and text.count("\n{") == n - 1):
+        return None
+    try:
+        recs = json.loads(text)
+        ks = [rec["k"] for rec in recs]
+        ys = np.array([rec["y"] for rec in recs], dtype=float).reshape(n, -1)
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        return None
+    if len(ks) != n or not all(type(k) is int for k in ks):
+        return None
+    return list(zip(ks, ys))
+
+
 def save_log(path, trajectory: Trajectory) -> None:
     lines = [json.dumps({"y_omega": trajectory.side_value.tolist()})]
-    for k, y in enumerate(trajectory.outputs):
-        lines.append(json.dumps({"k": k, "y": y.tolist()}))
+    ys = trajectory.outputs
+    # json.dumps spells a list of finite floats as its repr, which is
+    # cheaper; outputs written over after construction may not be finite
+    spell = repr if np.isfinite(ys).all() else json.dumps
+    lines += ['{"k": %d, "y": %s}' % (k, spell(y)) for k, y in enumerate(ys.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -275,6 +275,24 @@ def test_detect_rejects_nan_in_log(aircraft_file, tmp_path, capsys):
     assert "k=20" in err
 
 
+def test_detect_window_whose_norm_overflows_exits_1(aircraft_file, tmp_path, capsys):
+    # 1e200 is a finite output, but every window holding it overflows its
+    # norm; a numpy warning before the typed error would fail this test
+    zero_attack = tmp_path / "zero.json"
+    zero_attack.write_text(json.dumps({"T": 12, "frames": [[0.0] * 4] * 13}))
+    log_file = tmp_path / "clean.jsonl"
+    run_cli(capsys, "simulate", "--scenario", aircraft_file,
+            "--attack", str(zero_attack), "--out", str(log_file))
+    lines = log_file.read_text().splitlines()
+    lines[10] = json.dumps({"k": 9, "y": [1e200, 0.0, 0.0]})
+    log_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "detect", "--scenario", aircraft_file,
+                             "--log", str(log_file))
+    assert code == 1
+    assert out == ""
+    assert err == "error: the window ending at k=9 is finite but its norm overflows\n"
+
+
 def test_scenario_with_nan_x0_exits_1(tmp_path, capsys):
     # analyze never reads x0, so only the load boundary can reject it
     obj = json.loads(aircraft_path().read_text())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ltisec.detector
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltisec import (
@@ -109,29 +109,14 @@ def test_streaming_matches_batch(aircraft_sys, aircraft_side, attacked_traj):
         else:
             manual.append(epoch)
     _, trace = batch_decide(aircraft_sys, cfg, attacked_traj.side_value, attacked_traj)
-    assert len(manual) == len(trace.epochs)
-    for a, b in zip(manual, trace.epochs):
-        assert a.k == b.k
-        assert a.decision == b.decision
-    # the first epoch is decided by push itself; the later ones by a blocked
-    # product whose summation order differs, so they agree to rounding
-    assert manual[0].residual == trace.epochs[0].residual
-    assert manual[0].window_norm == trace.epochs[0].window_norm
-    for a, b in zip(manual[1:], trace.epochs[1:]):
-        bound = 1e-12 * max(1.0, a.window_norm)
-        assert abs(a.residual - b.residual) <= bound
-        assert abs(a.window_norm - b.window_norm) <= bound
+    # batch_decide makes push's BLAS calls window by window, so every epoch,
+    # residual and window norm is the streamed one bit for bit
+    assert trace.epochs == manual
 
 
 def _streamed(sys, cfg, y_omega, outputs):
     session = DetectorSession(sys, cfg, y_omega)
     return [e for e in map(session.push, outputs) if e is not None]
-
-
-# Decisions are compared only on draws decided with a margin: a draw is
-# dropped when any streamed residual lies within a factor 3 of its threshold,
-# where the two paths' rounding could legitimately decide it differently.
-MARGIN = 3.0
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -154,11 +139,10 @@ def test_batch_matches_streaming_decisions(shape, seed, extra, length, switch_on
     traj = simulate(sys, rng.standard_normal(sys.n), AttackSequence(frames), side)
     cfg = DetectorConfig(window_len_l=l, omega=side, tol=Tol())
     streamed = _streamed(sys, cfg, traj.side_value, traj.outputs)
-    for e in streamed:
-        threshold = cfg.tol.residual_rel * max(1.0, e.window_norm)
-        assume(not threshold / MARGIN < e.residual < MARGIN * threshold)
+    # no margin rule: the residuals are the streamed ones bit for bit, so
+    # even a residual at its threshold is decided as push decides it
     verdict, trace = batch_decide(sys, cfg, traj.side_value, traj)
-    assert [(e.k, e.decision) for e in trace.epochs] == [(e.k, e.decision) for e in streamed]
+    assert trace.epochs == streamed
     reference = DetectionTrace(streamed)
     assert trace.first_detection() == reference.first_detection()
     assert verdict is reference.verdict
@@ -210,7 +194,7 @@ def test_batch_propagates_rank_deficiency(aircraft_side):
 
 
 def test_sliding_window_matches_full_projection(rng):
-    # window length n+1 pins the state at each window start, so scanning
+    # a window of l >= n+1 frames pins the state at its start, so scanning
     # windows decides exactly what one full-horizon projection decides
     checked = 0
     for _ in range(60):
@@ -233,11 +217,13 @@ def test_sliding_window_matches_full_projection(rng):
                 continue
             attack = zero_dynamics_attack(usable[0], t)
         traj = simulate(sys, x0, attack, side)
-        cfg = DetectorConfig(window_len_l=sys.n + 1, omega=side, tol=Tol(residual_rel=1e-6))
-        verdict, _ = batch_decide(sys, cfg, traj.side_value, traj)
         want = full_projection_decide(sys, side.omega, traj.side_value,
                                       traj.outputs, rtol=1e-6)
-        assert verdict.value == want
+        for l in range(sys.n + 1, sys.n + 5):
+            cfg = DetectorConfig(window_len_l=l, omega=side, tol=Tol(residual_rel=1e-6))
+            verdict, _ = batch_decide(sys, cfg, traj.side_value, traj)
+            assert verdict.value == want
+            assert run_detector(sys, cfg, traj.side_value, traj.outputs).verdict.value == want
         checked += 1
     assert checked >= 40
 
@@ -320,8 +306,11 @@ def test_window_whose_norm_overflows_raises(aircraft_sys, aircraft_side):
             session.push(y)
         with pytest.raises(NonFinite, match="k=9 "):
             session.push(traj.outputs[9])
-        with pytest.raises(NonFinite, match="k=9 "):
-            batch_decide(aircraft_sys, cfg, traj.side_value, traj)
+    # the whole-log paths let no numpy warning escape, which would fail here
+    with pytest.raises(NonFinite, match="k=9 "):
+        batch_decide(aircraft_sys, cfg, traj.side_value, traj)
+    with pytest.raises(NonFinite, match="k=9 "):
+        run_detector(aircraft_sys, cfg, traj.side_value, traj.outputs)
 
 
 def test_session_copies_each_frame(aircraft_sys, aircraft_side):
@@ -401,3 +390,180 @@ def test_non_finite_side_value_rejected(aircraft_sys, aircraft_side):
     cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
     with pytest.raises(NonFinite):
         DetectorSession(aircraft_sys, cfg, np.array([np.inf]))
+
+
+def _push_all(sys, cfg, y_omega, outputs):
+    """The streamed epochs of ``outputs`` up to the error that stopped the
+    stream, and that error, or None."""
+    session = DetectorSession(sys, cfg, y_omega)
+    epochs = []
+    # push lets numpy warn about a window it then refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for y in outputs:
+                epoch = session.push(y)
+                if epoch is not None:
+                    epochs.append(epoch)
+        except (DimensionMismatch, NonFinite, ValueError) as exc:
+            return epochs, exc
+    return epochs, None
+
+
+def _push_error(sys, cfg, y_omega, outputs):
+    return _push_all(sys, cfg, y_omega, outputs)[1]
+
+
+def _quiet_log(sys, side, n_frames):
+    x0 = np.array([1.0, -1.0, 0.5, 2.0])
+    return simulate(sys, x0, AttackSequence.zeros(4, n_frames - 1), side)
+
+
+def test_run_detector_takes_any_sequence_of_frames(aircraft_sys, aircraft_side):
+    traj = _quiet_log(aircraft_sys, aircraft_side, 13)
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    streamed = _streamed(aircraft_sys, cfg, traj.side_value, traj.outputs)
+    ys = traj.outputs
+    for outputs in (ys, list(ys), tuple(ys), ys.tolist(), ys[:, :, None], iter(list(ys))):
+        assert run_detector(aircraft_sys, cfg, traj.side_value, outputs).epochs == streamed
+
+
+@pytest.mark.parametrize("frame", [np.array([1.0]), 2.0, np.ones(4)], ids=["len1", "scalar", "len4"])
+@pytest.mark.parametrize("k_bad", [0, 2, 7])
+def test_run_detector_rejects_a_frame_as_push_does(aircraft_sys, aircraft_side, frame, k_bad):
+    # a (N,) array of floats or a length-1 frame must not broadcast into p columns
+    traj = _quiet_log(aircraft_sys, aircraft_side, 13)
+    outputs = list(traj.outputs)
+    outputs.insert(k_bad, frame)
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    want = _push_error(aircraft_sys, cfg, traj.side_value, outputs)
+    assert isinstance(want, DimensionMismatch)
+    with pytest.raises(DimensionMismatch) as got:
+        run_detector(aircraft_sys, cfg, traj.side_value, outputs)
+    assert str(got.value) == str(want)
+    if np.ndim(frame) == 0:
+        with pytest.raises(DimensionMismatch, match="length 1, expected 3"):
+            run_detector(aircraft_sys, cfg, traj.side_value, traj.outputs[:, 0])
+
+
+@pytest.mark.parametrize("k_bad", [1, 4, 9, 12])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_run_detector_refuses_a_window_where_push_does(aircraft_sys, aircraft_side, k_bad, bad):
+    # before the window fills, at the first epoch k = l-1 = 4, later and last
+    traj = _quiet_log(aircraft_sys, aircraft_side, 13)
+    outputs = traj.outputs.copy()
+    outputs[k_bad, 1] = bad
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    want = _push_error(aircraft_sys, cfg, traj.side_value, outputs)
+    assert f"k={max(k_bad, 4)} " in str(want)
+    with pytest.raises(NonFinite) as got:
+        run_detector(aircraft_sys, cfg, traj.side_value, outputs)
+    assert str(got.value) == str(want)
+
+
+def test_run_detector_reports_the_first_refusal(aircraft_sys, aircraft_side):
+    # push stops at whichever comes first: a misshapen frame or a window it
+    # cannot decide
+    traj = _quiet_log(aircraft_sys, aircraft_side, 13)
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    nan_first = list(traj.outputs)
+    nan_first[5] = np.array([np.nan, 0.0, 0.0])
+    nan_first[8] = np.ones(1)
+    overflow_first = [y.copy() for y in traj.outputs]
+    overflow_first[6][0] = 1e200
+    overflow_first[8][0] = np.nan
+    short_first = list(traj.outputs)
+    short_first[9] = np.array([np.nan, 0.0, 0.0])
+    short_first[7] = np.ones(1)
+    for outputs, error in ((nan_first, NonFinite), (overflow_first, NonFinite),
+                           (short_first, DimensionMismatch)):
+        want = _push_error(aircraft_sys, cfg, traj.side_value, outputs)
+        with pytest.raises(error) as got:
+            run_detector(aircraft_sys, cfg, traj.side_value, outputs)
+        assert str(got.value) == str(want)
+
+
+def test_run_detector_raises_a_conversion_error_where_push_does(aircraft_sys, aircraft_side):
+    # a frame push cannot convert stops the stream there: a window it cannot
+    # decide before that frame is reported first, and none after it
+    traj = _quiet_log(aircraft_sys, aircraft_side, 13)
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    for k_nan, k_text, error in ((6, 9, NonFinite), (9, 6, ValueError), (2, 3, ValueError)):
+        outputs = list(traj.outputs)
+        outputs[k_nan] = np.array([np.nan, 0.0, 0.0])
+        outputs[k_text] = np.array(["1", "x", "2"])
+        want = _push_error(aircraft_sys, cfg, traj.side_value, outputs)
+        assert type(want) is error
+        with pytest.raises(error) as got:
+            run_detector(aircraft_sys, cfg, traj.side_value, outputs)
+        assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("n_frames", [0, 1, 4])
+def test_run_detector_stream_shorter_than_window(aircraft_sys, aircraft_side, n_frames):
+    traj = _quiet_log(aircraft_sys, aircraft_side, 5)
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    frames = traj.outputs[:n_frames]
+    for outputs in (frames, list(frames), (y for y in frames)):
+        with pytest.raises(DimensionMismatch, match="^stream shorter than the window length 5$"):
+            run_detector(aircraft_sys, cfg, traj.side_value, outputs)
+
+
+def test_run_detector_across_block_edges(aircraft_sys, aircraft_side):
+    # a log of more than two blocks, with bad frames in windows that straddle
+    # both block edges; later epoch k sits in block (k - l) // _BLOCK
+    l = 5
+    n_frames = 2 * _BLOCK + 40
+    traj = _quiet_log(aircraft_sys, aircraft_side, n_frames)
+    cfg = DetectorConfig(window_len_l=l, omega=aircraft_side, tol=Tol())
+    bad = [_BLOCK + l - 2, _BLOCK + l, 2 * _BLOCK + l - 3, 2 * _BLOCK + l + 1, n_frames - 1]
+    outputs = traj.outputs.copy()
+    outputs[bad, 1] += 1.0
+    trace = run_detector(aircraft_sys, cfg, traj.side_value, outputs)
+    assert trace.epochs == _streamed(aircraft_sys, cfg, traj.side_value, outputs)
+    fired = [e.k for e in trace.epochs if e.decision is Decision.ATTACK]
+    assert fired == sorted({k for j in bad for k in range(j, min(j + l, n_frames))})
+    for k_bad in bad:
+        for value in (np.nan, 1e200):
+            broken = traj.outputs.copy()
+            broken[k_bad, 0] = value
+            want = _push_error(aircraft_sys, cfg, traj.side_value, broken)
+            with pytest.raises(NonFinite) as got:
+                run_detector(aircraft_sys, cfg, traj.side_value, broken)
+            assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(0, 3),
+    length=st.one_of(st.integers(0, 40), st.integers(_BLOCK - 2, _BLOCK + 2)),
+    switch_on=st.one_of(st.none(), st.integers(0, 60)),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_run_detector_equals_streaming_bit_for_bit(shape, seed, extra, length, switch_on, scale):
+    # the blocked path makes push's BLAS calls row by row, so no margin rule:
+    # every residual and window norm must be the streamed one exactly
+    rng = np.random.default_rng(seed)
+    sys = rand_shaped_system(rng, shape)
+    side = rand_side(rng, sys.n)
+    l = sys.n + 1 + extra
+    t = l - 1 + length
+    frames = np.zeros((t + 1, sys.s))
+    if switch_on is not None and switch_on <= t:
+        frames[switch_on:] = rng.standard_normal((t + 1 - switch_on, sys.s))
+    x0 = scale * rng.standard_normal(sys.n)
+    traj = simulate(sys, x0, AttackSequence(scale * frames), side)
+    cfg = DetectorConfig(window_len_l=l, omega=side, tol=Tol())
+    streamed, error = _push_all(sys, cfg, traj.side_value, traj.outputs)
+    if error is not None:
+        # an unstable plant's long log outgrows the float range of the norms
+        with pytest.raises(NonFinite) as got:
+            run_detector(sys, cfg, traj.side_value, traj.outputs)
+        assert str(got.value) == str(error)
+        with pytest.raises(NonFinite) as got:
+            batch_decide(sys, cfg, traj.side_value, traj)
+        assert str(got.value) == str(error)
+        return
+    assert run_detector(sys, cfg, traj.side_value, traj.outputs).epochs == streamed
+    assert batch_decide(sys, cfg, traj.side_value, traj)[1].epochs == streamed

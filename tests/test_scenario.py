@@ -278,3 +278,102 @@ def test_log_rejects_non_finite_side_value(tmp_path):
     path.write_text("\n".join(lines))
     with pytest.raises(NonFinite, match="y_omega"):
         load_log(path)
+
+
+def _json_dumps_log(trajectory):
+    """A log written record by record with json.dumps: the reference bytes."""
+    lines = [json.dumps({"y_omega": trajectory.side_value.tolist()})]
+    lines += [json.dumps({"k": k, "y": y.tolist()}) for k, y in enumerate(trajectory.outputs)]
+    return "\n".join(lines) + "\n"
+
+
+def test_save_log_writes_json_dumps_bytes(tmp_path):
+    edge = np.array([[-0.0, 5e-324, 1e308], [0.1, 3.0, -1e-308]])
+    rng = np.random.default_rng(12)
+    long = rng.standard_normal((4097, 3)) * 10.0 ** rng.integers(-300, 300, (4097, 3))
+    long[::7] = np.round(long[::7])
+    overwritten = Trajectory(edge.copy(), np.zeros(2), np.zeros(1))
+    overwritten.outputs[1] = [np.nan, np.inf, -np.inf]
+    for traj in (Trajectory(edge, np.zeros(2), np.array([0.5, -0.0])),
+                 Trajectory(long, np.zeros(2), np.array([1e-300])), overwritten):
+        path = tmp_path / "log.jsonl"
+        save_log(path, traj)
+        assert path.read_text() == _json_dumps_log(traj)
+
+
+def _load_log_line_by_line(path):
+    """The reading of one json.loads per record line: the reference."""
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    y_omega = np.asarray(json.loads(lines[0])["y_omega"], dtype=float).reshape(-1)
+    records = []
+    for ln in lines[1:]:
+        try:
+            rec = json.loads(ln)
+            records.append((int(rec["k"]), np.asarray(rec["y"], dtype=float).reshape(-1)))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed log record in {path}: {exc}") from exc
+    records.sort(key=lambda r: r[0])
+    if [k for k, _ in records] != list(range(len(records))):
+        raise ParseError(f"log {path} has missing or duplicate time indices")
+    outputs = [y for _, y in records]
+    if outputs and not np.all(np.isfinite(np.concatenate(outputs))):
+        k = next(k for k, y in records if not np.all(np.isfinite(y)))
+        raise NonFinite(f"log {path} has a non-finite output at k={k}")
+    return y_omega, outputs
+
+
+def _record(k, y):
+    return json.dumps({"k": k, "y": y})
+
+
+LOG_RECORDS = {
+    "well_formed": [_record(k, [k, -k, 0.5]) for k in range(5)],
+    "two_records_on_one_line": [_record(0, [1.0]), _record(1, [2.0]) + " " + _record(2, [3.0])],
+    "two_records_with_a_comma": [_record(0, [1.0]) + ", " + _record(1, [2.0]), _record(2, [3.0])],
+    "non_object_line": [_record(0, [1.0]), "[1.0, 2.0]", _record(2, [3.0])],
+    "unequal_lengths": [_record(0, [1.0, 2.0]), _record(1, [3.0]), _record(2, [4.0, 5.0])],
+    "float_index": [_record(0, [1.0]), '{"k": 1, "y": [2.0]}', '{"k": 2.0, "y": [3.0]}'],
+    "fractional_index": [_record(0, [1.0]), '{"k": 1.5, "y": [2.0]}'],
+    "string_index": ['{"k": "1", "y": [2.0]}', '{"k": 0, "y": [1.0]}'],
+    "nan_at_2": [_record(k, [float("nan") if k == 2 else 1.0, 0.0]) for k in range(4)],
+    "unsorted": [_record(k, [float(k)]) for k in (2, 0, 3, 1)],
+    # as many lines as "{", but the second line starts inside a record
+    "one_record_over_two_lines": ['{"k": 0', '"y": [1.0]}', _record(1, [2.0]) + ", " + _record(2, [3.0])],
+    # every line starts with "{", but the first ends inside a record
+    "nested_values_over_two_lines": [_record(0, [1.0]) + ', {"k": 1, "y": [2.0], "z": [{}', '{}]}'],
+    # one "{" per line, each at its start, but the second line closes the first record
+    "record_closed_on_next_line": ['{"k": 0, "y": [1.0, 2.0], "z": [0', '{}]}'],
+    "brace_in_a_string": ['{"k": 0, "y": [1.0], "s": "{"}', _record(1, [2.0])],
+    "scalar_outputs": ['{"k": 0, "y": 1.5}', '{"k": 1, "y": 2.5}'],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_RECORDS))
+def test_load_log_reads_as_line_by_line(tmp_path, name):
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join([json.dumps({"y_omega": [1.0]})] + LOG_RECORDS[name]) + "\n")
+    try:
+        want = _load_log_line_by_line(path)
+    except (ParseError, NonFinite) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_log(path)
+        assert str(got.value) == str(exc)
+        return
+    y_omega, outputs = load_log(path)
+    assert np.array_equal(y_omega, want[0])
+    assert type(outputs) is list and len(outputs) == len(want[1])
+    for y, w in zip(outputs, want[1]):
+        assert y.dtype == w.dtype and y.shape == w.shape and y.tobytes() == w.tobytes()
+
+
+def test_log_of_unequal_frames_is_refused_by_the_detector(tmp_path, aircraft_sys, aircraft_side):
+    from ltisec import DetectorConfig, Tol, run_detector
+
+    records = [_record(k, [0.0] * (2 if k == 6 else 3)) for k in range(10)]
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join([json.dumps({"y_omega": [0.0]})] + records) + "\n")
+    y_omega, outputs = load_log(path)
+    assert [len(y) for y in outputs] == [3] * 6 + [2] + [3] * 3
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
+    with pytest.raises(DimensionMismatch, match="^output frame has length 2, expected 3$"):
+        run_detector(aircraft_sys, cfg, y_omega, outputs)
