@@ -10,18 +10,18 @@ decision thresholds the projection residual.
 With l >= n+1 the windowed test is exactly as powerful as projecting the
 entire history at once, so nothing is lost by forgetting old frames.
 
-Three paths decide the same epochs.
+Two paths decide the same epochs.
 
 - ``DetectorSession.push`` decides one frame at a time, for callers that
   receive frames as they happen.  It is the reference.
-- ``run_detector`` takes a whole sequence of frames and ``batch_decide`` a
-  trajectory.  Both decide the epochs in blocks of windows with ``push``'s
-  own arithmetic: one matrix-vector product per projection and one dot
-  product per norm, row by row.  Their residuals and window norms equal the
-  streamed ones bit for bit.
+- ``run_detector`` takes a whole log as one (N, p) array, and
+  ``batch_decide`` a trajectory.  They decide the epochs in blocks of
+  windows with ``push``'s own arithmetic: one matrix-vector product per
+  projection and one dot product per norm, row by row.  Their residuals and
+  window norms equal the streamed ones bit for bit.
 
-The two whole-log paths report a window holding NaN or an infinity, or one
-whose norm overflows, by its epoch, as ``push`` does, and let no numpy
+The whole-log path reports a window holding NaN or an infinity, or one
+whose norm overflows, by its epoch, as ``push`` does, and lets no numpy
 warning escape.
 """
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -245,12 +244,40 @@ def _epochs(tol: Tol, first_k: int, w: np.ndarray, residual: np.ndarray,
     ))
 
 
-def _decide(session: DetectorSession, frames: np.ndarray) -> DetectionTrace:
-    """Every epoch of the (N, p) frames, N >= l, by ``push``'s arithmetic.
+def run_detector(
+    sys: LtiSystem,
+    config: DetectorConfig,
+    y_omega: np.ndarray,
+    outputs: np.ndarray,
+) -> DetectionTrace:
+    """Decide every epoch of a log of N output frames, given as an (N, p)
+    array_like, bit for bit as streaming its rows through
+    ``DetectorSession.push`` would.
+
     The first epoch is decided on the [Omega; O_{l-1}] basis, the later ones
-    on the O_{l-1} basis, ``_BLOCK`` windows at a time."""
-    l, tol = session.config.window_len_l, session.config.tol
-    p = frames.shape[1]
+    on the O_{l-1} basis, ``_BLOCK`` windows at a time, with ``push``'s own
+    arithmetic, so every residual and window norm equals the streamed one.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the outputs are not two-dimensional, are fewer than the window
+        length, or their frames do not have p entries.
+    NonFinite
+        If a window holds NaN or an infinity, or its norm overflows; the
+        error names the first such epoch, as ``push`` does.
+    RankDeficient
+        As ``DetectorSession``.
+    """
+    session = DetectorSession(sys, config, y_omega)
+    frames = np.asarray(outputs, float)
+    l, tol, p = config.window_len_l, config.tol, sys.p
+    if frames.ndim != 2:
+        raise DimensionMismatch(f"outputs have shape {frames.shape}, expected (N, {p})")
+    if frames.shape[0] < l:
+        raise DimensionMismatch(f"stream shorter than the window length {l}")
+    if frames.shape[1] != p:
+        raise DimensionMismatch(_FRAME_LENGTH.format(frames.shape[1], p))
     first = np.concatenate([session._y_omega, frames[:l].reshape(-1)])[None]
     # windows[i] holds frames i..i+l-1 as a (p, l) view; window i ends at k = i+l-1
     windows = sliding_window_view(frames, l, axis=0)
@@ -264,66 +291,6 @@ def _decide(session: DetectorSession, frames: np.ndarray) -> DetectionTrace:
     return DetectionTrace(epochs)
 
 
-def _frames(outputs: Iterable[np.ndarray], p: int) -> tuple[np.ndarray, Exception | None]:
-    """The frames ``push`` would accept, each flattened and copied into one
-    (N, p) array, and the error ``push`` raises at the first frame it
-    refuses, if any.  The copy lets a generator reuse its buffer."""
-    accepted, refused = [], None
-    for y in outputs:
-        try:
-            # push converts a frame the same way, so it raises the same error
-            y = np.array(y, dtype=float).reshape(-1)
-        except Exception as exc:
-            refused = exc
-            break
-        if y.shape[0] != p:
-            refused = DimensionMismatch(_FRAME_LENGTH.format(y.shape[0], p))
-            break
-        accepted.append(y)
-    return np.array(accepted).reshape(-1, p), refused
-
-
-def run_detector(
-    sys: LtiSystem,
-    config: DetectorConfig,
-    y_omega: np.ndarray,
-    outputs: Iterable[np.ndarray],
-) -> DetectionTrace:
-    """Decide every epoch of a sequence of output frames, bit for bit as
-    streaming them through ``DetectorSession.push`` would.
-
-    The frames are read up to the first one ``push`` refuses, each copied as
-    it arrives, so a generator may reuse its buffer; then the epochs are
-    decided in blocks of windows with ``push``'s own arithmetic, so every
-    residual and window norm equals the streamed one.  Unlike the stream,
-    the frames after an epoch that ``push`` refuses are still read.
-
-    Raises
-    ------
-    DimensionMismatch
-        If a frame does not have p entries, or the stream is shorter than
-        the window.
-    NonFinite, RankDeficient
-        As ``DetectorSession.push``.
-    TypeError, ValueError, ...
-        Whatever ``push`` raises for a frame it cannot convert to floats.
-
-    Every error is the one ``push`` raises first when the frames are
-    streamed through it.
-    """
-    session = DetectorSession(sys, config, y_omega)
-    frames, refused = _frames(outputs, sys.p)
-    l = config.window_len_l
-    # push decides every epoch before the first frame it refuses, so a
-    # window there that it cannot decide is reported first
-    trace = _decide(session, frames) if len(frames) >= l else None
-    if refused is not None:
-        raise refused
-    if trace is None:
-        raise DimensionMismatch(f"stream shorter than the window length {l}")
-    return trace
-
-
 def batch_decide(
     sys: LtiSystem,
     config: DetectorConfig,
@@ -333,26 +300,8 @@ def batch_decide(
     """Run the detector over a whole trajectory and fold the epoch decisions
     into one verdict: no attack only if every epoch agrees.
 
-    The epochs are decided as ``run_detector`` decides them, so every
-    residual and window norm equals the streamed one bit for bit.
-
-    Raises
-    ------
-    DimensionMismatch
-        If a frame does not have p entries, or the trajectory is shorter
-        than the window.
-    NonFinite
-        If a window holds NaN or an infinity, or its norm overflows; the
-        error names the first such epoch.
-    RankDeficient
-        As ``DetectorSession``.
+    The epochs are decided by ``run_detector``, whose errors it raises, so
+    every residual and window norm equals the streamed one bit for bit.
     """
-    session = DetectorSession(sys, config, y_omega)
-    l, p = config.window_len_l, sys.p
-    outputs = trajectory.outputs
-    if outputs.ndim != 2 or outputs.shape[1] != p:
-        raise DimensionMismatch(f"output frames have shape {outputs.shape[1:]}, expected ({p},)")
-    if outputs.shape[0] < l:
-        raise DimensionMismatch(f"trajectory shorter than the window length {l}")
-    trace = _decide(session, outputs)
+    trace = run_detector(sys, config, y_omega, trajectory.outputs)
     return trace.verdict, trace

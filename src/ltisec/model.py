@@ -237,20 +237,22 @@ class AttackSequence:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated or logged output data y(0..T) plus initial-state metadata."""
+    """Simulated or logged output data y(0..T) plus initial-state metadata,
+    held as read-only copies, so they stay finite as checked here."""
 
     outputs: np.ndarray
     initial_state: np.ndarray
     side_value: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outputs", np.atleast_2d(_finite("outputs", self.outputs)))
-        object.__setattr__(
-            self, "initial_state", _finite("x0", self.initial_state).reshape(-1)
-        )
-        object.__setattr__(
-            self, "side_value", _finite("y_omega", self.side_value).reshape(-1)
-        )
+        for name, m in (
+            ("outputs", np.atleast_2d(_finite("outputs", self.outputs))),
+            ("initial_state", _finite("x0", self.initial_state).reshape(-1)),
+            ("side_value", _finite("y_omega", self.side_value).reshape(-1)),
+        ):
+            m = np.array(m)
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
     @property
     def horizon_t(self) -> int:

@@ -12,7 +12,7 @@ information matrix, and optionally an initial state and an attack:
 Matrices are row-major: either nested lists of rows or one flat list of
 rows*cols entries.  Attack files carry just the {"T", "frames"} object.
 Measurement logs are JSON lines: a header {"y_omega": [...]} followed by
-one {"k": i, "y": [...]} record per time step.
+one {"k": i, "y": [...]} record per time step, every "y" of one length.
 """
 
 from __future__ import annotations
@@ -147,14 +147,15 @@ def save_attack(path, attack: AttackSequence) -> None:
     Path(path).write_text(json.dumps(obj, indent=1) + "\n")
 
 
-def load_log(path) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Read a measurement log; returns (y_omega, outputs in time order).
+def load_log(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a measurement log; returns (y_omega, outputs), the outputs as an
+    (N, p) array in time order, (0, 0) for a log with no records.
 
     Raises
     ------
     ParseError
-        On unreadable files, malformed records, or missing or duplicate
-        time indices.
+        On unreadable files, malformed records, outputs of unequal lengths,
+        or missing or duplicate time indices.
     NonFinite
         When y_omega or any output holds NaN or an infinity (JSON lines
         written by Python may spell them ``NaN`` and ``Infinity``).
@@ -175,26 +176,32 @@ def load_log(path) -> tuple[np.ndarray, list[np.ndarray]]:
         raise NonFinite(f"log {path} has a non-finite y_omega")
     records = _records_at_once(lines[1:])
     if records is None:
-        records = []
+        ks, ys = [], []
         for ln in lines[1:]:
             try:
                 rec = json.loads(ln)
-                records.append((int(rec["k"]), np.asarray(rec["y"], dtype=float).reshape(-1)))
+                ks.append(int(rec["k"]))
+                ys.append(np.asarray(rec["y"], dtype=float).reshape(-1))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"malformed log record in {path}: {exc}") from exc
-    records.sort(key=lambda r: r[0])
-    if [k for k, _ in records] != list(range(len(records))):
+        lengths = sorted({y.shape[0] for y in ys})
+        if len(lengths) > 1:
+            raise ParseError(f"log {path} has outputs of unequal lengths {lengths}")
+        records = ks, np.stack(ys) if ys else np.empty((0, 0))
+    ks, ys = records
+    if sorted(ks) != list(range(len(ks))):
         raise ParseError(f"log {path} has missing or duplicate time indices")
-    outputs = [y for _, y in records]
-    if outputs and not np.all(np.isfinite(np.concatenate(outputs))):
-        k = next(k for k, y in records if not np.all(np.isfinite(y)))
-        raise NonFinite(f"log {path} has a non-finite output at k={k}")
+    outputs = np.empty_like(ys)
+    outputs[ks] = ys
+    finite = np.isfinite(outputs).all(axis=1)
+    if not finite.all():
+        raise NonFinite(f"log {path} has a non-finite output at k={np.argmin(finite)}")
     return y_omega, outputs
 
 
-def _records_at_once(lines: list[str]) -> list[tuple[int, np.ndarray]] | None:
-    """The (k, y) records of the log's record lines, from one parse of all of
-    them, or None when they must be read line by line.
+def _records_at_once(lines: list[str]) -> tuple[list[int], np.ndarray] | None:
+    """The indices and the (N, p) outputs of the log's record lines, from one
+    parse of all of them, or None when they must be read line by line.
 
     The lines are joined into one JSON array.  When every line starts with
     "{", no other "{" occurs and the array holds one object per line, no
@@ -215,16 +222,14 @@ def _records_at_once(lines: list[str]) -> list[tuple[int, np.ndarray]] | None:
         return None
     if len(ks) != n or not all(type(k) is int for k in ks):
         return None
-    return list(zip(ks, ys))
+    return ks, ys
 
 
 def save_log(path, trajectory: Trajectory) -> None:
     lines = [json.dumps({"y_omega": trajectory.side_value.tolist()})]
-    ys = trajectory.outputs
-    # json.dumps spells a list of finite floats as its repr, which is
-    # cheaper; outputs written over after construction may not be finite
-    spell = repr if np.isfinite(ys).all() else json.dumps
-    lines += ['{"k": %d, "y": %s}' % (k, spell(y)) for k, y in enumerate(ys.tolist())]
+    # json.dumps spells a list of finite floats, which a Trajectory holds,
+    # as its repr, which is cheaper
+    lines += ['{"k": %d, "y": %r}' % (k, y) for k, y in enumerate(trajectory.outputs.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -293,6 +293,16 @@ def test_detect_window_whose_norm_overflows_exits_1(aircraft_file, tmp_path, cap
     assert err == "error: the window ending at k=9 is finite but its norm overflows\n"
 
 
+def test_detect_header_only_log_exits_1(aircraft_file, tmp_path, capsys):
+    log_file = tmp_path / "empty.jsonl"
+    log_file.write_text(json.dumps({"y_omega": [0.0]}) + "\n")
+    code, out, err = run_cli(capsys, "detect", "--scenario", aircraft_file,
+                             "--log", str(log_file))
+    assert code == 1
+    assert out == ""
+    assert err == "error: stream shorter than the window length 5\n"
+
+
 def test_scenario_with_nan_x0_exits_1(tmp_path, capsys):
     # analyze never reads x0, so only the load boundary can reject it
     obj = json.loads(aircraft_path().read_text())

@@ -38,3 +38,12 @@ def test_simulate_log_matches_golden(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(aircraft_path()), "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / "simulate.jsonl").read_bytes()
+
+
+def test_detect_matches_golden(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    argv = ["detect", "--scenario", str(aircraft_path()), "--log",
+            str(GOLDEN / "simulate.jsonl"), "--tol", "5e-3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == (GOLDEN / "detect.txt").read_text()
+    assert out.read_bytes() == (GOLDEN / "detect.csv").read_bytes()

@@ -304,3 +304,15 @@ def test_side_information_holds_a_read_only_copy():
     assert np.linalg.norm(side.omega @ side.null_basis.basis) == 0.0
     with pytest.raises(ValueError):
         side.omega[0, 0] = 2.0
+
+
+def test_trajectory_holds_read_only_copies():
+    ys, x0, y_omega = np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2), np.zeros(1)
+    traj = Trajectory(outputs=ys, initial_state=x0, side_value=y_omega)
+    ys[1, 0], x0[0], y_omega[0] = np.nan, np.inf, np.nan
+    assert np.array_equal(traj.outputs, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(traj.initial_state, [0.0, 0.0])
+    assert np.array_equal(traj.side_value, [0.0])
+    for m in (traj.outputs, traj.initial_state, traj.side_value):
+        with pytest.raises(ValueError):
+            m[0] = np.nan

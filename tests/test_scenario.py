@@ -292,17 +292,16 @@ def test_save_log_writes_json_dumps_bytes(tmp_path):
     rng = np.random.default_rng(12)
     long = rng.standard_normal((4097, 3)) * 10.0 ** rng.integers(-300, 300, (4097, 3))
     long[::7] = np.round(long[::7])
-    overwritten = Trajectory(edge.copy(), np.zeros(2), np.zeros(1))
-    overwritten.outputs[1] = [np.nan, np.inf, -np.inf]
     for traj in (Trajectory(edge, np.zeros(2), np.array([0.5, -0.0])),
-                 Trajectory(long, np.zeros(2), np.array([1e-300])), overwritten):
+                 Trajectory(long, np.zeros(2), np.array([1e-300]))):
         path = tmp_path / "log.jsonl"
         save_log(path, traj)
         assert path.read_text() == _json_dumps_log(traj)
 
 
 def _load_log_line_by_line(path):
-    """The reading of one json.loads per record line: the reference."""
+    """The reading of one json.loads per record line, its records sorted and
+    stacked into one array: the reference."""
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     y_omega = np.asarray(json.loads(lines[0])["y_omega"], dtype=float).reshape(-1)
     records = []
@@ -312,13 +311,16 @@ def _load_log_line_by_line(path):
             records.append((int(rec["k"]), np.asarray(rec["y"], dtype=float).reshape(-1)))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed log record in {path}: {exc}") from exc
+    lengths = sorted({len(y) for _, y in records})
+    if len(lengths) > 1:
+        raise ParseError(f"log {path} has outputs of unequal lengths {lengths}")
     records.sort(key=lambda r: r[0])
     if [k for k, _ in records] != list(range(len(records))):
         raise ParseError(f"log {path} has missing or duplicate time indices")
-    outputs = [y for _, y in records]
-    if outputs and not np.all(np.isfinite(np.concatenate(outputs))):
-        k = next(k for k, y in records if not np.all(np.isfinite(y)))
-        raise NonFinite(f"log {path} has a non-finite output at k={k}")
+    outputs = np.array([y for _, y in records]).reshape(len(records), lengths[0] if records else 0)
+    for k, y in records:
+        if not np.all(np.isfinite(y)):
+            raise NonFinite(f"log {path} has a non-finite output at k={k}")
     return y_omega, outputs
 
 
@@ -345,6 +347,8 @@ LOG_RECORDS = {
     "record_closed_on_next_line": ['{"k": 0, "y": [1.0, 2.0], "z": [0', '{}]}'],
     "brace_in_a_string": ['{"k": 0, "y": [1.0], "s": "{"}', _record(1, [2.0])],
     "scalar_outputs": ['{"k": 0, "y": 1.5}', '{"k": 1, "y": 2.5}'],
+    "nested_outputs": ['{"k": 0, "y": [[1.0, 2.0]]}', '{"k": 1, "y": [[3.0], [4.0]]}'],
+    "no_records": [],
 }
 
 
@@ -361,19 +365,23 @@ def test_load_log_reads_as_line_by_line(tmp_path, name):
         return
     y_omega, outputs = load_log(path)
     assert np.array_equal(y_omega, want[0])
-    assert type(outputs) is list and len(outputs) == len(want[1])
-    for y, w in zip(outputs, want[1]):
-        assert y.dtype == w.dtype and y.shape == w.shape and y.tobytes() == w.tobytes()
+    y, w = outputs, want[1]
+    assert type(y) is np.ndarray and y.dtype == w.dtype and y.shape == w.shape
+    assert y.tobytes() == w.tobytes()
 
 
-def test_log_of_unequal_frames_is_refused_by_the_detector(tmp_path, aircraft_sys, aircraft_side):
-    from ltisec import DetectorConfig, Tol, run_detector
-
+def test_log_of_unequal_frames_is_refused_at_load(tmp_path):
     records = [_record(k, [0.0] * (2 if k == 6 else 3)) for k in range(10)]
     path = tmp_path / "log.jsonl"
     path.write_text("\n".join([json.dumps({"y_omega": [0.0]})] + records) + "\n")
+    with pytest.raises(ParseError, match="unequal lengths \\[2, 3\\]$") as got:
+        load_log(path)
+    assert str(path) in str(got.value)
+
+
+def test_header_only_log_has_no_outputs(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps({"y_omega": [0.5]}) + "\n")
     y_omega, outputs = load_log(path)
-    assert [len(y) for y in outputs] == [3] * 6 + [2] + [3] * 3
-    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
-    with pytest.raises(DimensionMismatch, match="^output frame has length 2, expected 3$"):
-        run_detector(aircraft_sys, cfg, y_omega, outputs)
+    assert np.array_equal(y_omega, [0.5])
+    assert outputs.shape == (0, 0) and outputs.dtype == float
