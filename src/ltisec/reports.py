@@ -18,7 +18,8 @@ from .errors import NoModes
 from .model import AttackSequence, LtiSystem, SideInformation, simulate, validate
 from .numlin import Tol, intersect
 from .scenario import Scenario, aircraft_path, load_scenario
-from .subspaces import output_nulling_reachable, weakly_unobservable
+from .subspaces import (_nulling_factors, output_nulling_reachable, weakly_unobservable,
+                        zero_state_attack_exists)
 from .synthesis import find_zero_dynamics_modes
 
 __all__ = [
@@ -122,10 +123,10 @@ def analyze_report(
     w1 = output_nulling_reachable(sys, 1, tol)
     rep.add("dim_weakly_unobservable", str(v.dim))
     rep.add("dim_output_nulling_w1", str(w1.dim))
-    w1_meet_v = intersect(w1, v, tol)
-    rep.add("dim_w1_meet_v", str(w1_meet_v.dim))
-    # the rule of subspaces.zero_state_attack_exists, on the geometry in hand
-    rep.add("zero_state_attack_exists", str(w1_meet_v.dim > 0).lower())
+    # B maps the free inputs kept with V onto W_1 meet V, one to one as a
+    # loaded scenario's [B; D] is injective
+    rep.add("dim_w1_meet_v", str(_nulling_factors(sys, tol)[-1][1].shape[1]))
+    rep.add("zero_state_attack_exists", str(zero_state_attack_exists(sys, tol)).lower())
     rep.add("dim_null_omega_meet_v", str(intersect(scenario.side.null_basis, v, tol).dim))
     try:
         modes = find_zero_dynamics_modes(sys, tol, lambda_hints, allow_unstable)

@@ -180,7 +180,7 @@ def load_log(path) -> tuple[np.ndarray, np.ndarray]:
         for ln in lines[1:]:
             try:
                 rec = json.loads(ln)
-                ks.append(int(rec["k"]))
+                ks.append(_integer(rec["k"], f"record index k in log {path}"))
                 ys.append(np.asarray(rec["y"], dtype=float).reshape(-1))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"malformed log record in {path}: {exc}") from exc

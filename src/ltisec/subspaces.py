@@ -12,7 +12,12 @@ the output never, and still move the state exactly when W_1 intersects V
 nontrivially.
 
 V decides every verdict, so its iterates are computed once per (system,
-``Tol``) and kept on the immutable ``LtiSystem``, with read-only bases.
+``Tol``) and kept on the immutable ``LtiSystem``, with read-only bases.  Each
+iterate V_i keeps the basis N_i of the inputs left free by its nulling
+factor, and two of them answer every W_1 question without a further cut:
+N_0 spans ker D, so W_1 = B N_0, and from rest the inputs that null the
+output and land in V are exactly the span of N_inf, so W_1 meets V in
+B N_inf.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import LtiSystem, _memo
-from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, intersect, null_space, orth_columns, rank_cut
+from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, null_space, orth_columns, rank_cut
 
 __all__ = [
     "weakly_unobservable",
@@ -86,22 +91,20 @@ def weakly_unobservable(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> SubspaceBasis
 def output_nulling_reachable(sys: LtiSystem, k: int, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of W_k, the k-step output-nulling reachable set.
 
-    W_1 is the image of ker(D) under B.  Each further step maps pairs
-    (x, u) with x in W_k, Cx + Du = 0 through Ax + Bu; states already in
-    W_k remain reachable (append a step of the nulling input), so the
-    family is nested.
+    W_1 is the image under B of ker(D), whose basis N_0 is kept with V_0.
+    Each further step maps pairs (x, u) with x in W_k, Cx + Du = 0 through
+    Ax + Bu, the kernel cut at ||[C D]||_2; states already in W_k remain
+    reachable (append a step of the nulling input), so the family is nested.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    w = orth_columns(sys.b @ null_space(sys.d, tol).basis, tol)
+    cd_norm = float(np.linalg.norm(np.hstack([sys.c, sys.d]), 2)) if k > 1 else 0.0
+    w = orth_columns(sys.b @ _nulling_factors(sys, tol)[0][1], tol)
     for _ in range(k - 1):
         if w.dim == 0:
             break
-        ker = null_space(np.hstack([sys.c @ w.basis, sys.d]), tol)
-        if ker.dim == 0:
-            nxt = np.zeros((sys.n, 0))
-        else:
-            nxt = np.hstack([sys.a @ w.basis, sys.b]) @ ker.basis
+        ker = null_space(np.hstack([sys.c @ w.basis, sys.d]), tol, cd_norm)
+        nxt = np.hstack([sys.a @ w.basis, sys.b]) @ ker.basis
         w = orth_columns(np.hstack([nxt, w.basis]), tol)
     return w
 
@@ -109,10 +112,9 @@ def output_nulling_reachable(sys: LtiSystem, k: int, tol: Tol = DEFAULT_TOL) -> 
 def zero_state_attack_exists(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> bool:
     """Whether an arbitrarily long output-invisible attack can start at rest.
 
-    True exactly when W_1 intersects V nontrivially: the first frame lands
-    the state inside V without touching the output, and from inside V the
-    output can be kept at zero forever.
+    True exactly when a nonzero first frame nulls the output and lands the
+    state in V, from where the output can be kept at zero forever: when the
+    basis N_inf of the free inputs kept with V has a column.  B maps N_inf
+    onto W_1 meet V, one to one when [B; D] is injective.
     """
-    w1 = output_nulling_reachable(sys, 1, tol)
-    v = weakly_unobservable(sys, tol)
-    return intersect(w1, v, tol).dim > 0
+    return _nulling_factors(sys, tol)[-1][1].shape[1] > 0

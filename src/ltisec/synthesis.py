@@ -6,9 +6,9 @@ Four constructions, each returning concrete attack frames:
   system pencil [lambda I - A, -B; C, D]: for s <= p from the spectrum of
   A + BG on the weakly unobservable subspace (G the nulling gain kept with
   V; Basile & Marro, 1992), otherwise by scanning candidate lambdas;
-* arbitrarily long attacks from rest that never touch the output, built
-  through the intersection of the one-step output-nulling image with the
-  weakly unobservable subspace;
+* arbitrarily long attacks from rest that never touch the output, whose
+  first frame is a free input kept with V (it nulls the output and lands
+  the state in V) and whose later frames come from V's nulling gain;
 * minimum-norm attacks realizing a prescribed admissible initial-state
   shift theta;
 * extensions of undetectable attacks to longer horizons.
@@ -24,8 +24,8 @@ from .analysis import UndetectabilityCertificate, extension_verdict
 from .errors import (DimensionMismatch, HorizonTooShort, NoModes, NotExtensible, NotSynthesizable,
                      ThetaNotFeasible)
 from .model import AttackSequence, LtiSystem, SideInformation, _finite, obs_matrix, propagate
-from .numlin import DEFAULT_TOL, Tol, feasible, intersect, rank_cut, solve_min_norm
-from .subspaces import _nulling_factors, output_nulling_reachable, weakly_unobservable
+from .numlin import DEFAULT_TOL, Tol, feasible, rank_cut
+from .subspaces import _nulling_factors, weakly_unobservable
 
 __all__ = [
     "ZeroDynamicsMode",
@@ -237,46 +237,38 @@ def zero_state_synthesize(
 ) -> AttackSequence:
     """Attack from rest with a nonzero first frame and identically zero output.
 
-    The first frame lands the state on a direction shared by the one-step
-    output-nulling image and the weakly unobservable subspace; subsequent
-    frames come from one minimum-norm feedback gain that keeps the output at
-    zero while the state stays inside that subspace.  The result is
-    normalized so ``||a(0)|| == scale``.
+    The first frame is the first column of the free-input basis kept with
+    the weakly unobservable subspace V, sign-fixed so its largest entry is
+    positive: it nulls the output and lands the state in V, on the shared
+    direction of V and the one-step output-nulling image.  Subsequent frames
+    come from one minimum-norm feedback gain that keeps the output at zero
+    while the state stays inside V.  The result is normalized so
+    ``||a(0)|| == scale``.
 
     Raises
     ------
     NonFinite
         If ``scale`` is NaN or infinite.
     NotSynthesizable
-        If the required intersection is trivial, or the frames overflow.
+        If no such first frame exists, or the frames overflow.
     """
     if t < 1:
         raise ValueError("horizon must be at least 1")
     _finite("scale", scale)
-    v = weakly_unobservable(sys, tol)
-    w1 = output_nulling_reachable(sys, 1, tol)
-    shared = intersect(w1, v, tol)
-    if shared.dim == 0:
+    gain, free = _nulling_factors(sys, tol)[-1]
+    if free.shape[1] == 0:
         raise NotSynthesizable("one-step output-nulling image does not meet the "
                                "weakly unobservable subspace")
-    x1 = shared.basis[:, 0]
-    a0, res = solve_min_norm(
-        np.vstack([sys.b, sys.d]), np.concatenate([x1, np.zeros(sys.p)]), tol
-    )
-    if not feasible(res, float(np.linalg.norm(x1)), tol):
-        raise NotSynthesizable("first frame cannot realize the intersection direction")
-    gain, _ = _nulling_factors(sys, tol)[-1]
+    a0 = _canonical_phase(free[:, 0])
     closed = sys.a + sys.b @ gain
     arr = np.empty((t + 1, sys.s))
     arr[0] = a0
-    x = x1
+    x = sys.b @ a0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, t + 1):
             arr[k] = gain @ x
             x = closed @ x
-        a0_norm = float(np.linalg.norm(arr[0]))
-        if a0_norm > 0.0:
-            arr *= scale / a0_norm
+        arr *= scale / float(np.linalg.norm(a0))
     if not np.isfinite(arr).all():
         raise NotSynthesizable(f"the frames overflow before horizon {t}")
     return AttackSequence(arr)

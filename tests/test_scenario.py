@@ -308,7 +308,10 @@ def _load_log_line_by_line(path):
     for ln in lines[1:]:
         try:
             rec = json.loads(ln)
-            records.append((int(rec["k"]), np.asarray(rec["y"], dtype=float).reshape(-1)))
+            k = rec["k"]
+            if type(k) not in (int, float) or not float(k).is_integer():
+                raise ParseError(f"record index k in log {path} must be an integer, got {k!r}")
+            records.append((int(k), np.asarray(rec["y"], dtype=float).reshape(-1)))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed log record in {path}: {exc}") from exc
     lengths = sorted({len(y) for _, y in records})
@@ -337,6 +340,7 @@ LOG_RECORDS = {
     "float_index": [_record(0, [1.0]), '{"k": 1, "y": [2.0]}', '{"k": 2.0, "y": [3.0]}'],
     "fractional_index": [_record(0, [1.0]), '{"k": 1.5, "y": [2.0]}'],
     "string_index": ['{"k": "1", "y": [2.0]}', '{"k": 0, "y": [1.0]}'],
+    "boolean_index": [_record(0, [1.0]), '{"k": true, "y": [2.0]}'],
     "nan_at_2": [_record(k, [float("nan") if k == 2 else 1.0, 0.0]) for k in range(4)],
     "unsorted": [_record(k, [float(k)]) for k in (2, 0, 3, 1)],
     # as many lines as "{", but the second line starts inside a record

@@ -14,7 +14,8 @@ from ltisec import (
 from ltisec.numlin import orth_columns
 from ltisec.synthesis import find_zero_dynamics_modes
 
-from oracles import rand_system, rank_has_margin, stack_io, zero_state_oracle
+from oracles import (SHAPES, rand_shaped_system, rand_system, rank_has_margin, stack_io,
+                     zero_state_oracle)
 
 
 def test_v_trivial_observable_no_feedthrough():
@@ -115,9 +116,15 @@ def test_w1_aircraft(aircraft_sys):
         assert w1.residual_outside(target.basis[:, j]) <= 1e-10
 
 
+def _draws(rng, n_rand: int, per_shape: int):
+    """``n_rand`` ``rand_system`` draws, then ``per_shape`` draws of every
+    ``rand_shaped_system`` shape."""
+    return ([rand_system(rng) for _ in range(n_rand)]
+            + [rand_shaped_system(rng, shape) for shape in SHAPES for _ in range(per_shape)])
+
+
 def test_wk_nested(rng):
-    for _ in range(25):
-        sys = rand_system(rng)
+    for sys in _draws(rng, 25, 10):
         dims = [output_nulling_reachable(sys, k).dim for k in range(1, sys.n + 2)]
         assert all(d1 <= d2 for d1, d2 in zip(dims, dims[1:]))
         prev = None
@@ -141,14 +148,35 @@ def test_zero_state_attack_trivial_cases():
 
 
 def test_zero_state_attack_matches_stacked_oracle(rng):
-    agree = 0
-    for _ in range(60):
-        sys = rand_system(rng)
-        got = zero_state_attack_exists(sys)
-        want = zero_state_oracle(sys)
-        assert got == want
-        agree += 1
-    assert agree == 60
+    for sys in _draws(rng, 60, 15):
+        assert zero_state_attack_exists(sys) == zero_state_oracle(sys)
+
+
+def _noisy_zeros(sys: LtiSystem, rng) -> LtiSystem | None:
+    """The plant with every exact-zero feedthrough entry set to +-1e-20, or
+    None when D has no zero entry."""
+    d = sys.d.copy()
+    zero = d == 0.0
+    if not zero.any():
+        return None
+    d[zero] = rng.choice([-1e-20, 1e-20], size=int(zero.sum()))
+    return LtiSystem(a=sys.a, b=sys.b, c=sys.c, d=d)
+
+
+def test_rounding_noise_in_feedthrough_is_not_rank():
+    # ker D and the W_k kernels are cut at the plant's scale, so entries of
+    # 1e-20 where D has exact zeros change no dimension and no verdict
+    rng = np.random.default_rng(5)
+    checked = 0
+    for sys in _draws(rng, 60, 15):
+        noisy = _noisy_zeros(sys, rng)
+        if noisy is None:
+            continue
+        checked += 1
+        assert zero_state_attack_exists(noisy) == zero_state_attack_exists(sys)
+        for k in range(1, sys.n + 2):
+            assert output_nulling_reachable(noisy, k).dim == output_nulling_reachable(sys, k).dim
+    assert checked >= 30
 
 
 def rotated_relative_degree_2(rng) -> LtiSystem:
@@ -170,6 +198,16 @@ def test_v_of_rotated_relative_degree_2_plant_is_zero():
         assert weakly_unobservable(sys).dim == 0
         assert not zero_state_oracle(sys)
         assert not zero_state_attack_exists(sys)
+
+
+def test_w2_of_rotated_relative_degree_2_plant_is_the_state_space():
+    # CB = 0, so the first step's kernel holds both (w, 0) and (0, u); in
+    # rotated coordinates CB is rounding noise and must not pass as rank
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        sys = rotated_relative_degree_2(rng)
+        assert output_nulling_reachable(sys, 1).dim == 1
+        assert output_nulling_reachable(sys, 2).dim == 2
 
 
 def test_output_nulling_reachable_rejects_bad_horizon(aircraft_sys):
