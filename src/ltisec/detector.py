@@ -18,7 +18,8 @@ Two paths decide the same epochs.
   ``batch_decide`` a trajectory.  They decide the epochs in blocks of
   windows with ``push``'s own arithmetic: one matrix-vector product per
   projection and one dot product per norm, row by row.  Their residuals and
-  window norms equal the streamed ones bit for bit.
+  window norms equal the streamed ones bit for bit, and they return them as
+  the columns of a ``DetectionTrace``, with no record per epoch.
 
 The whole-log path reports a window holding NaN or an infinity, or one
 whose norm overflows, by its epoch, as ``push`` does, and lets no numpy
@@ -28,7 +29,7 @@ warning escape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -63,10 +64,6 @@ class Decision(str, Enum):
     NO_ATTACK = "NoAttack"
 
 
-# indexed by a feasibility flag: 0 -> attack, 1 -> no attack
-_DECISIONS = np.array([Decision.ATTACK, Decision.NO_ATTACK], dtype=object)
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Window length, tolerances, and side information for one detector."""
@@ -92,21 +89,38 @@ class EpochDecision:
     window_norm: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionTrace:
-    epochs: list[EpochDecision] = field(default_factory=list)
+    """The decided epochs as four equal-length, read-only columns: the epoch
+    index ``k``, whether it decided ``attack``, and its ``residual`` and
+    ``window_norm``.  The constructor takes read-only copies."""
+
+    k: np.ndarray
+    attack: np.ndarray
+    residual: np.ndarray
+    window_norm: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in zip(("k", "attack", "residual", "window_norm"), (int, bool, float, float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.ndim != 1 or len(column) != len(self.k):
+                raise DimensionMismatch(f"trace column {name} has shape {column.shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def verdict(self) -> Decision:
-        if any(e.decision is Decision.ATTACK for e in self.epochs):
-            return Decision.ATTACK
-        return Decision.NO_ATTACK
+        return Decision.ATTACK if self.attack.any() else Decision.NO_ATTACK
 
     def first_detection(self) -> int | None:
-        for e in self.epochs:
-            if e.decision is Decision.ATTACK:
-                return e.k
-        return None
+        return int(self.k[self.attack.argmax()]) if self.attack.any() else None
+
+    @property
+    def epochs(self) -> list[EpochDecision]:
+        """One ``EpochDecision`` per epoch, equal to those ``push`` returns."""
+        decisions = [Decision.ATTACK if a else Decision.NO_ATTACK for a in self.attack.tolist()]
+        return list(map(EpochDecision, self.k.tolist(), decisions,
+                        self.residual.tolist(), self.window_norm.tolist()))
 
 
 def _range_bases(sys: LtiSystem, omega: np.ndarray, l: int, tol: Tol) -> tuple[np.ndarray, np.ndarray]:
@@ -115,12 +129,28 @@ def _range_bases(sys: LtiSystem, omega: np.ndarray, l: int, tol: Tol) -> tuple[n
     q_first = orth_columns(np.vstack([omega, obs]), tol)
     q_later = orth_columns(obs, tol)
     if q_later.dim < sys.n or q_first.dim < sys.n:
-        raise RankDeficient(
-            "observability stack lost column rank; detector tests are ill-posed"
-        )
+        raise RankDeficient("observability stack lost column rank; detector tests are ill-posed")
     q_first.basis.flags.writeable = False
     q_later.basis.flags.writeable = False
     return q_first.basis, q_later.basis
+
+
+def _prepared(sys: LtiSystem, config: DetectorConfig,
+              y_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept bases of [Omega; O_{l-1}] and O_{l-1}, and y_omega as a
+    checked vector: what both detector paths start from."""
+    if config.omega.n != sys.n:
+        raise DimensionMismatch(f"Omega has {config.omega.n} columns, state dim is {sys.n}")
+    l, omega, tol = config.window_len_l, config.omega.omega, config.tol
+    # Omega is a read-only copy, so its bytes identify it
+    key = ("detector", l, omega.shape, omega.tobytes(), tol)
+    q_first, q_later = _memo(sys, key, lambda: _range_bases(sys, omega, l, tol))
+    y_omega = np.asarray(y_omega, float).reshape(-1)
+    if y_omega.shape[0] != config.omega.q:
+        raise DimensionMismatch(f"y_omega has length {y_omega.shape[0]}, expected {config.omega.q}")
+    if not np.all(np.isfinite(y_omega)):
+        raise NonFinite("y_omega contains NaN or infinite entries")
+    return q_first, q_later, y_omega
 
 
 class DetectorSession:
@@ -135,26 +165,10 @@ class DetectorSession:
     """
 
     def __init__(self, sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray):
-        if config.omega.n != sys.n:
-            raise DimensionMismatch(
-                f"Omega has {config.omega.n} columns, state dim is {sys.n}"
-            )
-        l, omega, tol = config.window_len_l, config.omega.omega, config.tol
-        # Omega is a read-only copy, so its bytes identify it
-        key = ("detector", l, omega.shape, omega.tobytes(), tol)
-        self._q_first, self._q_later = _memo(
-            sys, key, lambda: _range_bases(sys, omega, l, tol)
-        )
-        self._y_omega = np.asarray(y_omega, float).reshape(-1)
-        if self._y_omega.shape[0] != config.omega.q:
-            raise DimensionMismatch(
-                f"y_omega has length {self._y_omega.shape[0]}, expected {config.omega.q}"
-            )
-        if not np.all(np.isfinite(self._y_omega)):
-            raise NonFinite("y_omega contains NaN or infinite entries")
+        self._q_first, self._q_later, self._y_omega = _prepared(sys, config, y_omega)
         # frame k sits in rows k mod l and k mod l + l, so the last l frames
         # are rows j+1 .. j+l, in order, where j = k mod l
-        self._ring = np.zeros((2 * l, sys.p))
+        self._ring = np.zeros((2 * config.window_len_l, sys.p))
         self._k = -1
         self._p = sys.p
         self.config = config
@@ -212,51 +226,32 @@ class DetectorSession:
         )
 
 
-def _project_rows(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and norm of each row of ``w`` against the range of ``q``, by
-    ``push``'s arithmetic.  On stacked operands matmul makes one gemv per
-    row for each projection and one dot per row for each norm, the BLAS
-    calls ``push`` makes on one window, so every row gets ``push``'s bits."""
+def _decided_rows(q: np.ndarray, w: np.ndarray, first_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and norm of each window ``w[i]``, which ends at k = first_k + i,
+    against the range of ``q``.  On stacked operands matmul makes one gemv
+    per row for each projection and one dot per row for each norm, the BLAS
+    calls ``push`` makes on one window, so every row gets ``push``'s bits.
+
+    Raises ``NonFinite`` at the first window ``push`` would refuse.  A window
+    holding NaN or an infinity always has a non-finite norm, so the norms
+    alone locate it; its entries tell which message ``push`` gives."""
     col = w[:, :, None]
     r = w - np.matmul(q, np.matmul(q.T, col))[:, :, 0]
     residual = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
     norm = np.sqrt(np.matmul(w[:, None, :], col)[:, 0, 0])
-    return residual, norm
-
-
-def _epochs(tol: Tol, first_k: int, w: np.ndarray, residual: np.ndarray,
-            norm: np.ndarray) -> list[EpochDecision]:
-    """Decisions of the windows ``w[i]``, which end at k = first_k + i.
-
-    Raises ``NonFinite`` at the first window ``push`` would refuse.  A window
-    holding NaN or an infinity always has a non-finite norm, so the norms
-    alone locate it; its entries then tell which message ``push`` gives.
-    """
     finite = np.isfinite(norm)
     if not finite.all():
         i = int(np.argmin(finite))
         message = _OVERFLOW if np.isfinite(w[i]).all() else _NON_FINITE
         raise NonFinite(message.format(k=first_k + i))
-    decisions = _DECISIONS[feasible(residual, norm, tol).view(np.int8)]
-    return list(map(
-        EpochDecision, range(first_k, first_k + len(w)),
-        decisions.tolist(), residual.tolist(), norm.tolist(),
-    ))
+    return residual, norm
 
 
-def run_detector(
-    sys: LtiSystem,
-    config: DetectorConfig,
-    y_omega: np.ndarray,
-    outputs: np.ndarray,
-) -> DetectionTrace:
+def run_detector(sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray,
+                 outputs: np.ndarray) -> DetectionTrace:
     """Decide every epoch of a log of N output frames, given as an (N, p)
     array_like, bit for bit as streaming its rows through
-    ``DetectorSession.push`` would.
-
-    The first epoch is decided on the [Omega; O_{l-1}] basis, the later ones
-    on the O_{l-1} basis, ``_BLOCK`` windows at a time, with ``push``'s own
-    arithmetic, so every residual and window norm equals the streamed one.
+    ``DetectorSession.push`` would, ``_BLOCK`` windows at a time.
 
     Raises
     ------
@@ -269,7 +264,7 @@ def run_detector(
     RankDeficient
         As ``DetectorSession``.
     """
-    session = DetectorSession(sys, config, y_omega)
+    q_first, q_later, y_omega = _prepared(sys, config, y_omega)
     frames = np.asarray(outputs, float)
     l, tol, p = config.window_len_l, config.tol, sys.p
     if frames.ndim != 2:
@@ -278,30 +273,23 @@ def run_detector(
         raise DimensionMismatch(f"stream shorter than the window length {l}")
     if frames.shape[1] != p:
         raise DimensionMismatch(_FRAME_LENGTH.format(frames.shape[1], p))
-    first = np.concatenate([session._y_omega, frames[:l].reshape(-1)])[None]
+    first = np.concatenate([y_omega, frames[:l].reshape(-1)])[None]
     # windows[i] holds frames i..i+l-1 as a (p, l) view; window i ends at k = i+l-1
     windows = sliding_window_view(frames, l, axis=0)
     # a non-finite or overflowing window raises NonFinite naming its epoch,
     # so numpy's warnings about it would only repeat the error
     with np.errstate(over="ignore", invalid="ignore"):
-        epochs = _epochs(tol, l - 1, first, *_project_rows(session._q_first, first))
+        blocks = [_decided_rows(q_first, first, l - 1)]
         for start in range(1, windows.shape[0], _BLOCK):
             w = windows[start : start + _BLOCK].transpose(0, 2, 1).reshape(-1, l * p)
-            epochs += _epochs(tol, start + l - 1, w, *_project_rows(session._q_later, w))
-    return DetectionTrace(epochs)
+            blocks.append(_decided_rows(q_later, w, start + l - 1))
+    residual, norm = (np.concatenate(c) for c in zip(*blocks))
+    return DetectionTrace(np.arange(l - 1, len(frames)), ~feasible(residual, norm, tol), residual, norm)
 
 
-def batch_decide(
-    sys: LtiSystem,
-    config: DetectorConfig,
-    y_omega: np.ndarray,
-    trajectory: Trajectory,
-) -> tuple[Decision, DetectionTrace]:
-    """Run the detector over a whole trajectory and fold the epoch decisions
-    into one verdict: no attack only if every epoch agrees.
-
-    The epochs are decided by ``run_detector``, whose errors it raises, so
-    every residual and window norm equals the streamed one bit for bit.
-    """
+def batch_decide(sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray,
+                 trajectory: Trajectory) -> tuple[Decision, DetectionTrace]:
+    """``run_detector`` over a whole trajectory, and the trace's verdict: no
+    attack only if every epoch agrees."""
     trace = run_detector(sys, config, y_omega, trajectory.outputs)
     return trace.verdict, trace

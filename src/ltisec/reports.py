@@ -93,9 +93,8 @@ class Report:
 
 
 def trace_series(trace: DetectionTrace) -> list[tuple[int, int, float]]:
-    return [
-        (e.k, 1 if e.decision is Decision.ATTACK else 0, e.residual) for e in trace.epochs
-    ]
+    return list(zip(trace.k.tolist(), trace.attack.view(np.int8).tolist(),
+                    trace.residual.tolist()))
 
 
 def write_series_csv(path, rows: list[tuple[int, int, float]]) -> None:
@@ -208,7 +207,7 @@ def repro_aircraft(
     ref_none = simulate(sys, x_ref, quiet, no_side)
     floor_side = run_detector(sys, cfg_side, ref_side.side_value, ref_side.outputs)
     floor_none = run_detector(sys, cfg_none, ref_none.side_value, ref_none.outputs)
-    floor = max(e.residual for t in (floor_side, floor_none) for e in t.epochs)
+    floor = max(floor_side.residual.max(), floor_none.residual.max())
 
     rep = Report("aircraft reproduction")
     rep.add("window", str(window))
@@ -218,23 +217,23 @@ def repro_aircraft(
     rep.series["detect_no_side"] = trace_series(trace_none)
     rep.series["detect_side"] = trace_series(trace_side)
 
-    first = trace_side.epochs[0]
-    rep.add("side_first_epoch", str(first.k))
-    rep.add("side_first_residual", first.residual)
+    first_k, first_residual = int(trace_side.k[0]), trace_side.residual[0]
+    rep.add("side_first_epoch", str(first_k))
+    rep.add("side_first_residual", first_residual)
 
     rep.expect(
         "no_side_never_fires",
         verdict_none is Decision.NO_ATTACK,
-        f"max residual {fmt(max(e.residual for e in trace_none.epochs))}",
+        f"max residual {fmt(trace_none.residual.max())}",
     )
     attacked = scale != 0.0
     rep.expect(
         "side_first_epoch_decision",
-        (first.decision is Decision.ATTACK) == attacked,
-        f"k={first.k} residual={fmt(first.residual)}",
+        bool(trace_side.attack[0]) == attacked,
+        f"k={first_k} residual={fmt(first_residual)}",
     )
     if attacked:
-        ratio = first.residual / max(floor, 1e-300)
+        ratio = first_residual / max(floor, 1e-300)
         rep.expect("side_residual_ratio_1e3", ratio >= 1e3, f"ratio {fmt(ratio)}")
     cert_none = certify_undetectable(sys, no_side, attack, tol)
     cert_side = certify_undetectable(sys, side, attack, tol)

@@ -18,6 +18,7 @@ one {"k": i, "y": [...]} record per time step, every "y" of one length.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -50,7 +51,7 @@ class Scenario:
 def _matrix(raw, rows: int, cols: int, name: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{name} is not a numeric array: {exc}") from exc
     if arr.ndim == 1:
         if arr.size != rows * cols:
@@ -66,8 +67,11 @@ def _matrix(raw, rows: int, cols: int, name: str) -> np.ndarray:
 
 
 def _integer(value, name: str) -> int:
-    """A JSON integer; 30.0 is accepted, 30.7, "30" and booleans are not."""
-    if type(value) not in (int, float) or not float(value).is_integer():
+    """A JSON integer; 30.0 is accepted, 30.7, "30", booleans and integers
+    beyond the range of a float are not."""
+    # an int compares with a float exactly, so no float() overflows here
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if not finite or not float(value).is_integer():
         raise ParseError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -76,7 +80,7 @@ def _attack_from_obj(obj, s: int) -> AttackSequence:
     try:
         t = _integer(obj["T"], "attack T")
         frames = np.asarray(obj["frames"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed attack object: {exc}") from exc
     if frames.ndim != 2 or frames.shape != (t + 1, s):
         raise DimensionMismatch(
@@ -103,7 +107,7 @@ def load_scenario(path, tol: Tol = DEFAULT_TOL) -> Scenario:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
     try:
         n, p, s, q = (_integer(raw[k], k) for k in ("n", "p", "s", "q"))
@@ -137,7 +141,7 @@ def load_attack(path, s: int) -> AttackSequence:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read attack {path}: {exc}") from exc
     return _attack_from_obj(raw, s)
 
@@ -170,7 +174,7 @@ def load_log(path) -> tuple[np.ndarray, np.ndarray]:
     try:
         header = json.loads(lines[0])
         y_omega = np.asarray(header["y_omega"], dtype=float).reshape(-1)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"log {path} lacks a y_omega header: {exc}") from exc
     if not np.all(np.isfinite(y_omega)):
         raise NonFinite(f"log {path} has a non-finite y_omega")
@@ -182,7 +186,7 @@ def load_log(path) -> tuple[np.ndarray, np.ndarray]:
                 rec = json.loads(ln)
                 ks.append(_integer(rec["k"], f"record index k in log {path}"))
                 ys.append(np.asarray(rec["y"], dtype=float).reshape(-1))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"malformed log record in {path}: {exc}") from exc
         lengths = sorted({y.shape[0] for y in ys})
         if len(lengths) > 1:
@@ -218,7 +222,7 @@ def _records_at_once(lines: list[str]) -> tuple[list[int], np.ndarray] | None:
         recs = json.loads(text)
         ks = [rec["k"] for rec in recs]
         ys = np.array([rec["y"] for rec in recs], dtype=float).reshape(n, -1)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
     if len(ks) != n or not all(type(k) is int for k in ks):
         return None

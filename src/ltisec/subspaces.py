@@ -93,20 +93,28 @@ def output_nulling_reachable(sys: LtiSystem, k: int, tol: Tol = DEFAULT_TOL) -> 
 
     W_1 is the image under B of ker(D), whose basis N_0 is kept with V_0.
     Each further step maps pairs (x, u) with x in W_k, Cx + Du = 0 through
-    Ax + Bu, the kernel cut at ||[C D]||_2; states already in W_k remain
-    reachable (append a step of the nulling input), so the family is nested.
+    Ax + Bu, the kernel cut at ||[C D]||_2.  States in W_k remain reachable
+    (append a step of the nulling input), so W_{k+1} is W_k plus the part of
+    that image off W_k, projected twice to keep the basis orthonormal and cut
+    at ||[A B]||_2.  A step that adds nothing has reached the fixed point.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cd_norm = float(np.linalg.norm(np.hstack([sys.c, sys.d]), 2)) if k > 1 else 0.0
-    w = orth_columns(sys.b @ _nulling_factors(sys, tol)[0][1], tol)
+    w = orth_columns(sys.b @ _nulling_factors(sys, tol)[0][1], tol).basis
+    if k > 1:
+        cd_norm = float(np.linalg.norm(np.hstack([sys.c, sys.d]), 2))
+        ab_norm = float(np.linalg.norm(np.hstack([sys.a, sys.b]), 2))
     for _ in range(k - 1):
-        if w.dim == 0:
+        ker = null_space(np.hstack([sys.c @ w, sys.d]), tol, cd_norm)
+        nxt = np.hstack([sys.a @ w, sys.b]) @ ker.basis
+        for _ in range(2):
+            nxt = nxt - w @ (w.T @ nxt)
+        u, sv, _ = np.linalg.svd(nxt, full_matrices=False)
+        new = u[:, :rank_cut(sv, tol, ab_norm)]
+        if new.shape[1] == 0:
             break
-        ker = null_space(np.hstack([sys.c @ w.basis, sys.d]), tol, cd_norm)
-        nxt = np.hstack([sys.a @ w.basis, sys.b]) @ ker.basis
-        w = orth_columns(np.hstack([nxt, w.basis]), tol)
-    return w
+        w = np.hstack([w, new])
+    return SubspaceBasis(sys.n, w)
 
 
 def zero_state_attack_exists(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> bool:

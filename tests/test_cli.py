@@ -349,3 +349,13 @@ def test_mode_search_runs_without_scipy(tmp_path):
     assert codes == [0, 0, 0]
     assert "lambda=0.4" in run.stdout
     assert loaded == []
+
+
+def test_detect_log_with_an_integer_beyond_float_range_exits_1(aircraft_file, tmp_path, capsys):
+    log_file = tmp_path / "big.jsonl"
+    log_file.write_text('{"y_omega": [0.0]}\n{"k": 0, "y": [1, 2, 1%s]}\n' % ("0" * 400))
+    code, out, err = run_cli(capsys, "detect", "--scenario", aircraft_file,
+                             "--log", str(log_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: malformed log record in {log_file}: ")

@@ -143,9 +143,9 @@ def test_batch_matches_streaming_decisions(shape, seed, extra, length, switch_on
     # even a residual at its threshold is decided as push decides it
     verdict, trace = batch_decide(sys, cfg, traj.side_value, traj)
     assert trace.epochs == streamed
-    reference = DetectionTrace(streamed)
-    assert trace.first_detection() == reference.first_detection()
-    assert verdict is reference.verdict
+    fired = [e.k for e in streamed if e.decision is Decision.ATTACK]
+    assert trace.first_detection() == (fired[0] if fired else None)
+    assert verdict is (Decision.ATTACK if fired else Decision.NO_ATTACK)
 
 
 def test_batch_indices_across_block_edges(aircraft_sys, aircraft_side):
@@ -250,14 +250,45 @@ def test_side_value_length_checked(aircraft_sys, aircraft_side):
 
 
 def test_trace_verdict_folding():
-    trace = DetectionTrace()
-    assert trace.first_detection() is None
-    cfg_decisions = [Decision.NO_ATTACK, Decision.ATTACK, Decision.NO_ATTACK]
-    from ltisec.detector import EpochDecision
-    for k, d in enumerate(cfg_decisions):
-        trace.epochs.append(EpochDecision(k=k + 4, decision=d, residual=0.0, window_norm=1.0))
+    empty = DetectionTrace(k=[], attack=[], residual=[], window_norm=[])
+    assert empty.first_detection() is None
+    assert empty.verdict == Decision.NO_ATTACK
+    decisions = [Decision.NO_ATTACK, Decision.ATTACK, Decision.NO_ATTACK]
+    trace = DetectionTrace(
+        k=np.arange(4, 7),
+        attack=[d is Decision.ATTACK for d in decisions],
+        residual=np.zeros(3),
+        window_norm=np.ones(3),
+    )
     assert trace.verdict == Decision.ATTACK
     assert trace.first_detection() == 5
+    assert [e.decision for e in trace.epochs] == decisions
+
+
+def test_whole_log_path_builds_no_records(monkeypatch, aircraft_sys, aircraft_side, attacked_traj):
+    def refuse(*args):
+        raise AssertionError("an EpochDecision was built")
+
+    monkeypatch.setattr(ltisec.detector, "EpochDecision", refuse)
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=PRINT_TOL)
+    verdict, trace = batch_decide(aircraft_sys, cfg, attacked_traj.side_value, attacked_traj)
+    assert verdict is trace.verdict is Decision.ATTACK
+    assert trace.first_detection() == 4
+
+
+def test_trace_columns_are_read_only_copies(aircraft_sys, aircraft_side, attacked_traj):
+    cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=PRINT_TOL)
+    trace = run_detector(aircraft_sys, cfg, attacked_traj.side_value, attacked_traj.outputs)
+    for column in (trace.k, trace.attack, trace.residual, trace.window_norm):
+        assert len(column) == len(trace.epochs)
+        with pytest.raises(ValueError):
+            column[0] = 0
+    k = np.arange(3)
+    built = DetectionTrace(k=k, attack=np.zeros(3, bool), residual=np.zeros(3), window_norm=np.ones(3))
+    k[0] = 9
+    assert built.k.tolist() == [0, 1, 2]
+    with pytest.raises(DimensionMismatch):
+        DetectionTrace(k=k, attack=[True], residual=np.zeros(3), window_norm=np.ones(3))
 
 
 # an infinity in the window meets inf - inf in the projection first

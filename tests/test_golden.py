@@ -47,3 +47,10 @@ def test_detect_matches_golden(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out == (GOLDEN / "detect.txt").read_text()
     assert out.read_bytes() == (GOLDEN / "detect.csv").read_bytes()
+
+
+def test_repro_aircraft_csvs_match_golden(tmp_path, capsys):
+    assert main(["repro-aircraft", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "repro_aircraft.txt").read_text()
+    for name in ("detect_no_side.csv", "detect_side.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

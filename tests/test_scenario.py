@@ -200,6 +200,55 @@ def test_attack_round_trip(tmp_path, rng):
         load_attack(path, 2)
 
 
+# a JSON integer beyond the range of a float: numpy and float() raise
+# OverflowError on it, which must surface as a ParseError
+BIG = 10**400
+# and one beyond Python's digit limit for integer parsing, where json.loads
+# itself raises a plain ValueError
+HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", BIG),
+    ("A", [[0.5, BIG], [0.0, 0.3]]),
+    ("Omega", [[BIG, 0.0]]),
+    ("x0", [1.0, BIG]),
+    ("attack", {"T": BIG, "frames": [[0.0], [0.0]]}),
+    ("attack", {"T": 1, "frames": [[0.0], [BIG]]}),
+], ids=["n", "A", "Omega", "x0", "attack_T", "attack_frame"])
+def test_load_rejects_integers_beyond_float_range(tmp_path, field, value):
+    with pytest.raises(ParseError):
+        load_scenario(_write_scenario(tmp_path, **{field: value}))
+
+
+def test_load_attack_rejects_integers_beyond_float_range(tmp_path):
+    path = tmp_path / "attack.json"
+    for text in (json.dumps({"T": 1, "frames": [[0.0], [BIG]]}),
+                 '{"T": 1, "frames": [[0.0], [%s]]}' % HUGE):
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_attack(path, 1)
+
+
+def test_load_scenario_rejects_an_integer_beyond_the_digit_limit(tmp_path):
+    path = _write_scenario(tmp_path)
+    path.write_text(path.read_text().replace('"n": 2', '"n": ' + HUGE))
+    with pytest.raises(ParseError):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("header, record", [
+    ({"y_omega": [BIG]}, {"k": 0, "y": [1.0]}),
+    ({"y_omega": [0.0]}, {"k": 0, "y": [1, 2, BIG]}),
+    ({"y_omega": [0.0]}, {"k": BIG, "y": [1.0]}),
+], ids=["y_omega", "output", "index"])
+def test_log_rejects_integers_beyond_float_range(tmp_path, header, record):
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ParseError):
+        load_log(path)
+
+
 def test_attack_rejects_frame_count_mismatch(tmp_path):
     path = tmp_path / "attack.json"
     path.write_text(json.dumps({"T": 3, "frames": [[0.0], [0.0]]}))
@@ -312,7 +361,7 @@ def _load_log_line_by_line(path):
             if type(k) not in (int, float) or not float(k).is_integer():
                 raise ParseError(f"record index k in log {path} must be an integer, got {k!r}")
             records.append((int(k), np.asarray(rec["y"], dtype=float).reshape(-1)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed log record in {path}: {exc}") from exc
     lengths = sorted({len(y) for _, y in records})
     if len(lengths) > 1:
@@ -350,6 +399,7 @@ LOG_RECORDS = {
     # one "{" per line, each at its start, but the second line closes the first record
     "record_closed_on_next_line": ['{"k": 0, "y": [1.0, 2.0], "z": [0', '{}]}'],
     "brace_in_a_string": ['{"k": 0, "y": [1.0], "s": "{"}', _record(1, [2.0])],
+    "oversized_output": [_record(0, [1.0, 2.0]), _record(1, [1.0, 10**400])],
     "scalar_outputs": ['{"k": 0, "y": 1.5}', '{"k": 1, "y": 2.5}'],
     "nested_outputs": ['{"k": 0, "y": [[1.0, 2.0]]}', '{"k": 1, "y": [[3.0], [4.0]]}'],
     "no_records": [],

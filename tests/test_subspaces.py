@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ltisec.subspaces
+
 from ltisec import (
     LtiSystem,
     io_matrix,
@@ -208,6 +210,36 @@ def test_w2_of_rotated_relative_degree_2_plant_is_the_state_space():
         sys = rotated_relative_degree_2(rng)
         assert output_nulling_reachable(sys, 1).dim == 1
         assert output_nulling_reachable(sys, 2).dim == 2
+
+
+def _lopsided(s: float) -> LtiSystem:
+    # B = e1, C = e2^T, D = 0 and A = s e2 e1^T: W_1 = span e1 and W_2 is the
+    # whole plane, however large s makes A against B
+    return LtiSystem(a=np.array([[0.0, 0.0], [s, 0.0]]), b=np.array([[1.0], [0.0]]),
+                     c=np.array([[0.0, 1.0]]), d=np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e9, 1e11, 1e12])
+def test_wk_keeps_directions_when_a_dwarfs_b(s):
+    # the new directions are cut at ||[A B]||_2, not against the norm-1
+    # columns of W_1 stacked beside columns of size s
+    sys = _lopsided(s)
+    w1, w2 = output_nulling_reachable(sys, 1), output_nulling_reachable(sys, 2)
+    assert (w1.dim, w2.dim) == (1, 2)
+    assert w2.residual_outside(w1.basis[:, 0]) <= 1e-12
+    assert np.allclose(w2.basis.T @ w2.basis, np.eye(2), atol=1e-12)
+
+
+def test_wk_stops_at_its_fixed_point(monkeypatch):
+    # W_2 is the whole plane, so the step from W_2 adds nothing and no
+    # further step is taken, whatever k
+    sys = _lopsided(1.0)
+    assert output_nulling_reachable(sys, 1).dim == 1  # the ISA runs here, once
+    calls = []
+    kernel = ltisec.subspaces.null_space
+    monkeypatch.setattr(ltisec.subspaces, "null_space", lambda *a: calls.append(1) or kernel(*a))
+    assert output_nulling_reachable(sys, 50).dim == 2
+    assert len(calls) == 2
 
 
 def test_output_nulling_reachable_rejects_bad_horizon(aircraft_sys):
