@@ -211,8 +211,8 @@ def _records_at_once(lines: list[str]) -> tuple[list[int], np.ndarray] | None:
     "{", no other "{" occurs and the array holds one object per line, no
     object can nest another or reach past its line, so each object is one
     whole line and equals what parsing that line alone gives.  Indices that
-    are not plain integers, outputs of unequal shapes and every malformed
-    record are left to the line-by-line reading, which reports them.
+    are not integers within the float range, unequal outputs and malformed
+    records are left to the line-by-line reading, which reports them.
     """
     n = len(lines)
     text = "[" + ",\n".join(lines) + "]"
@@ -226,7 +226,7 @@ def _records_at_once(lines: list[str]) -> tuple[list[int], np.ndarray] | None:
         return None
     if len(ks) != n or not all(type(k) is int for k in ks):
         return None
-    return ks, ys
+    return (ks, ys) if max(map(abs, ks), default=0) <= sys.float_info.max else None
 
 
 def save_log(path, trajectory: Trajectory) -> None:

@@ -3,9 +3,9 @@
 Four constructions, each returning concrete attack frames:
 
 * geometric-mode attacks a(k) = lambda^k g built from null vectors of the
-  system pencil [lambda I - A, -B; C, D]: for s <= p from the spectrum of
-  A + BG on the weakly unobservable subspace (G the nulling gain kept with
-  V; Basile & Marro, 1992), otherwise by scanning candidate lambdas;
+  system pencil [lambda I - A, -B; C, D], from one eigendecomposition of
+  A + BG on the weakly unobservable subspace V (G the nulling gain kept
+  with V; Basile & Marro, 1992), at its eigenvalues or at candidate lambdas;
 * arbitrarily long attacks from rest that never touch the output, whose
   first frame is a free input kept with V (it nulls the output and lands
   the state in V) and whose later frames come from V's nulling gain;
@@ -101,27 +101,40 @@ def _real_if_noise(lam: complex) -> complex:
     return complex(lam.real) if abs(lam.imag) <= _IMAG_NOISE * (1.0 + abs(lam)) else lam
 
 
-def _restricted_candidates(sys: LtiSystem, tol: Tol) -> list[tuple[complex, np.ndarray]] | None:
-    """Candidate (lambda, [theta; g]) pairs of a plant with s <= p: the
-    eigenpairs (lambda, z) of A + BG restricted to V, theta = Vz, g = G theta.
-    None when the nulling inputs are not unique and the pencil is scanned."""
-    v = weakly_unobservable(sys, tol)
-    if v.dim == 0:
-        raise NoModes("the weakly unobservable subspace is {0}")
-    gain, null = _nulling_factors(sys, tol)[-1]
-    if null.shape[1]:
-        return None
-    lams, zs = np.linalg.eig(v.basis.T @ (sys.a + sys.b @ gain) @ v.basis)
-    thetas = v.basis @ zs
-    vecs = np.vstack([thetas, gain @ thetas])
-    # conjugate pairs are reported once, from the upper half plane
-    return [(_real_if_noise(complex(lam)), w / np.linalg.norm(w))
-            for lam, w in zip(lams, vecs.T) if lam.imag >= 0 and abs(lam) <= _LAMBDA_CAP]
+def _scanned_modes(sys: LtiSystem, lams: list[complex], basis: np.ndarray, gain: np.ndarray,
+                   null: np.ndarray, abar: np.ndarray, tol: Tol) -> list[ZeroDynamicsMode | None]:
+    """Candidate modes at each lambda of a plant with free inputs N on V.
 
-
-def _null_vectors(sys: LtiSystem, lam: complex, tol: Tol) -> list[tuple[complex, np.ndarray]]:
-    _, sv, vh = np.linalg.svd(_pencil(sys, lam))
-    return [(lam, col) for col in vh[rank_cut(sv, tol):].conj()]
+    Off spec(Abar), Abar = X diag(mu) X^-1, the pencil null vectors are
+    theta = V (lambda - Abar)^-1 Bbar z, Bbar = V^T B N, and g = G theta + N z,
+    so theta = V X (Y / (lambda - mu)) with Y = X^-1 Bbar for every lambda at
+    once.  A lambda within the rank cut of some mu (against the largest gap
+    and ||Abar||_F), or whose candidates fail verification (an
+    ill-conditioned X), takes the pencil SVD instead.
+    """
+    lam = np.array(lams, dtype=complex)
+    mu, x = np.linalg.eig(abar)
+    gap = np.abs(lam[:, None] - mu).min(axis=1)
+    svd_at = np.argsort(np.argsort(-gap)) >= rank_cut(-np.sort(-gap), tol, float(np.linalg.norm(abar)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            y = np.linalg.solve(x, basis.T @ sys.b @ null)
+        except np.linalg.LinAlgError:  # a defective Abar can leave X exactly singular
+            y = np.full((mu.size, null.shape[1]), np.nan)
+        theta = (basis @ x) @ (y / np.where(svd_at[:, None], 1.0, lam[:, None] - mu)[:, :, None])
+        w = np.concatenate([theta, gain @ theta + null], axis=1)
+        w.imag[lam.imag == 0] = 0.0  # X's rounding: null vectors at a real lambda are real
+        # one column needs no QR; a norm that overflows leaves a zero column, which fails
+        q = np.linalg.qr(w).Q if null.shape[1] > 1 else w / np.linalg.norm(w, axis=1, keepdims=True)
+    svd_at |= ~np.isfinite(q).all(axis=(1, 2))
+    modes: list[ZeroDynamicsMode | None] = []
+    for j, l in enumerate(lams):
+        found = [] if svd_at[j] else [_mode(sys, l, col, tol) for col in q[j].T]
+        if svd_at[j] or None in found:
+            _, sv, vh = np.linalg.svd(_pencil(sys, l))
+            found = [_mode(sys, l, col, tol) for col in vh[rank_cut(sv, tol):].conj()]
+        modes += found
+    return modes
 
 
 def _candidate_lambdas(sys: LtiSystem, lambda_hints: list[complex] | None) -> list[complex]:
@@ -146,26 +159,36 @@ def find_zero_dynamics_modes(
 ) -> list[ZeroDynamicsMode]:
     """Find verified geometric attack modes of the system pencil.
 
-    A plant with s <= p whose nulling inputs are unique has finitely many
-    modes, all from one eigenproblem on V; hints are ignored.  A wide plant
-    (s > p), or one with redundant outputs, has a pencil null vector at every
-    lambda, so the pencil is scanned at the hints and the eigenvalues of A.
-    On every scanned pencil, candidates with |lambda| > 1 are rejected unless
-    ``allow_unstable`` is set: their frames grow without bound over long
-    horizons.  Conjugate pairs are reported once, with nonnegative imaginary
-    part.
+    Every mode's theta lies in V, and one eigendecomposition of
+    Abar = V^T (A + BG) V, with (G, N) the nulling factor kept with V, gives
+    them all: Abar's eigenpairs when N has no columns (hints are ignored),
+    else the null vectors at the hints and the eigenvalues of A, as wide
+    plants (s > p) and plants with redundant outputs have one at every
+    lambda.  There |lambda| > 1 is rejected unless ``allow_unstable`` is
+    set: such frames grow without bound.  Conjugate pairs are reported
+    once, with nonnegative imaginary part.
 
     Raises
     ------
     NoModes
-        If no candidate produces a verified null vector.
+        If V = {0} or no candidate produces a verified null vector.
     """
-    cands = _restricted_candidates(sys, tol) if sys.s <= sys.p else None
-    if cands is None:
-        cands = [c for lam in _candidate_lambdas(sys, lambda_hints)
-                 if allow_unstable or abs(lam) <= 1.0 + tol.residual_rel
-                 for c in _null_vectors(sys, lam, tol)]
-    modes = [m for m in (_mode(sys, lam, v, tol) for lam, v in cands) if m is not None]
+    v = weakly_unobservable(sys, tol)
+    if v.dim == 0:
+        raise NoModes("the weakly unobservable subspace is {0}")
+    gain, null = _nulling_factors(sys, tol)[-1]
+    abar = v.basis.T @ (sys.a + sys.b @ gain) @ v.basis
+    if null.shape[1]:
+        lams = [lam for lam in _candidate_lambdas(sys, lambda_hints)
+                if allow_unstable or abs(lam) <= 1.0 + tol.residual_rel]
+        found = _scanned_modes(sys, lams, v.basis, gain, null, abar, tol)
+    else:
+        mu, x = np.linalg.eig(abar)
+        vecs = np.vstack([v.basis @ x, gain @ v.basis @ x])
+        # conjugate pairs are reported once, from the upper half plane
+        found = [_mode(sys, _real_if_noise(complex(lam)), w / np.linalg.norm(w), tol)
+                 for lam, w in zip(mu, vecs.T) if lam.imag >= 0 and abs(lam) <= _LAMBDA_CAP]
+    modes = [m for m in found if m is not None]
     if not modes:
         raise NoModes("no lambda produced a verified pencil null vector")
     modes.sort(key=lambda m: (m.lam.real, m.lam.imag))
@@ -189,7 +212,7 @@ def zero_dynamics_attack(mode: ZeroDynamicsMode, t: int, scale: float = 1.0) -> 
 
 def _nulling_frames(sys: LtiSystem, x0: np.ndarray, t: int, tol: Tol) -> np.ndarray | None:
     """Minimum-norm frames a(0..t) that null the outputs y(0..t) of the
-    recursion started at x0, or None if the solve overflows.
+    recursion started at x0, or None on overflow.
 
     Minimizing sum ||a(k)||^2 under y(k) = 0 is a strictly convex
     equality-constrained LQ problem, solved exactly by dynamic programming.
@@ -201,15 +224,17 @@ def _nulling_frames(sys: LtiSystem, x0: np.ndarray, t: int, tol: Tol) -> np.ndar
     with P the cost-to-go of step k+1 (zero after step t).  Writing
     u = Gx + Nz with the factor (G, N) kept with V_{t-k} gives the gain
     K = G - N S^{-1} (BN)^T P (A + BG), S = I + (BN)^T P BN, since G x is
-    orthogonal to range(N); then P <- (A+BK)^T P (A+BK) + K^T K.  A
-    forward pass a(k) = K_k x(k) yields the frames.  Nothing is factorized
-    here, so the cost is O(t (n+s)^3) time and O(t n s) memory.
+    orthogonal to range(N); then P <- (A+BK)^T P (A+BK) + K^T K, which
+    only free inputs read: if no factor in use has one, K = G and P is never
+    formed.  A forward pass a(k) = K_k x(k) yields the frames.  Nothing is
+    factorized here, so the cost is O(t (n+s)^3) time and O(t n s) memory.
     """
     a, b = sys.a, sys.b
     nulling = _nulling_factors(sys, tol)
     last = len(nulling) - 1
     factors = [(gain, null, a + b @ gain, b @ null, np.eye(null.shape[1]))
                for gain, null in nulling[: min(t, last) + 1]]
+    free = any(null.shape[1] for _, null, *_ in factors)
     gains = np.empty((t + 1, sys.s, sys.n))
     p = np.zeros((sys.n, sys.n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,9 +245,10 @@ def _nulling_frames(sys: LtiSystem, x0: np.ndarray, t: int, tol: Tol) -> np.ndar
                 z = np.linalg.solve(eye + bn.T @ pbn, pbn.T @ closed)
                 gain = gain - null @ z
                 closed = closed - bn @ z
-            p = closed.T @ p @ closed + gain.T @ gain
-            if not np.isfinite(p).all():
-                return None
+            if free:
+                p = closed.T @ p @ closed + gain.T @ gain
+                if not np.isfinite(p).all():
+                    return None
             gains[k] = gain
         frames = np.empty((t + 1, sys.s))
         x = np.asarray(x0, dtype=float)

@@ -126,24 +126,18 @@ def pencil_zero_candidates(sys: LtiSystem, infinite_beta: float = 1e-9) -> list[
     return cands
 
 
-def pencil_modes_oracle(sys: LtiSystem, cap: float = 1e6, rank_rel: float = 1e-10,
-                        rtol: float = 1e-8) -> list[complex]:
-    """Lambdas of the verified pencil null vectors of a plant with s <= p,
-    one entry per null vector, sorted by (real, imag).
+def pencil(sys: LtiSystem, lam: complex) -> np.ndarray:
+    """The system pencil [lambda I - A, -B; C, D]."""
+    top = np.hstack([lam * np.eye(sys.n) - sys.a, -sys.b])
+    return np.vstack([top, np.hstack([sys.c, sys.d]).astype(complex)])
 
-    Candidates from ``pencil_zero_candidates`` with |lambda| <= cap are
-    folded onto the closed upper half plane (imaginary parts at most 1e-12
-    relative are dropped) and merged within 1e-9 relative.  At each, the
-    right singular vectors beyond the rank cut (singular values above
-    ``rank_rel`` times the largest) are rotated so their largest entry is
-    positive real, made real when every imaginary part and lambda's is at
-    most 1e-12, and kept when both the theta and g blocks exceed 1e-8 and
-    the pencil residual is at most rtol * max(1, ||theta|| + ||g||)."""
-    n = sys.n
+
+def _fold_and_merge(cands) -> list[complex]:
+    """Candidates folded onto the closed upper half plane (imaginary parts at
+    most 1e-12 relative to 1 + |lambda| are dropped), sorted by (real, imag)
+    and merged within 1e-9 relative."""
     folded = []
-    for lam in pencil_zero_candidates(sys):
-        if abs(lam) > cap:
-            continue
+    for lam in cands:
         if abs(lam.imag) <= 1e-12 * (1.0 + abs(lam)):
             lam = complex(lam.real)
         elif lam.imag < 0:
@@ -154,14 +148,21 @@ def pencil_modes_oracle(sys: LtiSystem, cap: float = 1e6, rank_rel: float = 1e-1
     for lam in folded:
         if not merged or abs(lam - merged[-1]) > 1e-9 * (1.0 + abs(lam)):
             merged.append(lam)
+    return merged
 
-    def pencil(lam):
-        top = np.hstack([lam * np.eye(n) - sys.a, -sys.b])
-        return np.vstack([top, np.hstack([sys.c, sys.d]).astype(complex)])
 
+def _null_vector_lambdas(sys: LtiSystem, lams, rank_rel: float, rtol: float) -> list[complex]:
+    """One entry per verified null vector of the pencil at each lambda.
+
+    The right singular vectors beyond the rank cut (singular values above
+    ``rank_rel`` times the largest) are rotated so their largest entry is
+    positive real, made real when every imaginary part and lambda's is at
+    most 1e-12, and kept when both the theta and g blocks exceed 1e-8 and
+    the pencil residual is at most rtol * max(1, ||theta|| + ||g||)."""
+    n = sys.n
     found = []
-    for lam in merged:
-        _, sv, vh = np.linalg.svd(pencil(lam))
+    for lam in lams:
+        _, sv, vh = np.linalg.svd(pencil(sys, lam))
         for v in vh[int(np.sum(sv > rank_rel * sv[0])):].conj():
             i = int(np.argmax(np.abs(v)))
             v = v * (np.conj(v[i]) / np.abs(v[i]))
@@ -171,10 +172,38 @@ def pencil_modes_oracle(sys: LtiSystem, cap: float = 1e6, rank_rel: float = 1e-1
             theta_norm, g_norm = np.linalg.norm(v[:n]), np.linalg.norm(v[n:])
             if min(theta_norm, g_norm) <= 1e-8:
                 continue
-            resid = np.linalg.norm(pencil(lam_use) @ v)
+            resid = np.linalg.norm(pencil(sys, lam_use) @ v)
             if resid <= rtol * max(1.0, theta_norm + g_norm):
                 found.append(lam_use)
     return sorted(found, key=lambda z: (z.real, z.imag))
+
+
+def pencil_modes_oracle(sys: LtiSystem, cap: float = 1e6, rank_rel: float = 1e-10,
+                        rtol: float = 1e-8) -> list[complex]:
+    """Lambdas of the verified pencil null vectors of a plant with s <= p,
+    one entry per null vector, sorted by (real, imag): the candidates of
+    ``pencil_zero_candidates`` with |lambda| <= cap, folded and merged, each
+    checked by ``_null_vector_lambdas``."""
+    cands = [lam for lam in pencil_zero_candidates(sys) if abs(lam) <= cap]
+    return _null_vector_lambdas(sys, _fold_and_merge(cands), rank_rel, rtol)
+
+
+def scan_candidates(sys: LtiSystem, hints, allow_unstable: bool,
+                    unstable_rtol: float = 1e-8) -> list[complex]:
+    """The lambdas a plant whose pencil has a null vector at every lambda is
+    scanned at: the hints and the eigenvalues of A, folded and merged, with
+    |lambda| > 1 + unstable_rtol dropped unless ``allow_unstable``."""
+    cands = [complex(h) for h in hints] + [complex(l) for l in np.linalg.eigvals(sys.a)]
+    return [lam for lam in _fold_and_merge(cands)
+            if allow_unstable or abs(lam) <= 1.0 + unstable_rtol]
+
+
+def scanned_modes_oracle(sys: LtiSystem, hints, allow_unstable: bool, rank_rel: float = 1e-10,
+                         rtol: float = 1e-8) -> list[complex]:
+    """Lambdas of the verified pencil null vectors at the ``scan_candidates``,
+    one entry per null vector, sorted by (real, imag): one SVD of the pencil
+    per candidate, as ``_null_vector_lambdas`` checks them."""
+    return _null_vector_lambdas(sys, scan_candidates(sys, hints, allow_unstable), rank_rel, rtol)
 
 
 def ill_conditioned(sys: LtiSystem, rng, log10_cond: float) -> LtiSystem:

@@ -249,6 +249,20 @@ def test_log_rejects_integers_beyond_float_range(tmp_path, header, record):
         load_log(path)
 
 
+def test_log_index_beyond_float_range_is_reported_alike_by_both_readers(tmp_path):
+    # the first log is read in one parse, the second (a "{" inside a string)
+    # line by line; both name the index, not a gap in the time indices
+    messages = []
+    for first in (_record(0, [1.0]), '{"k": 0, "y": [1.0], "s": "{"}'):
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join([json.dumps({"y_omega": [0.0]}), first, _record(BIG, [2.0])]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_log(path)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "record index k" in messages[0] and "must be an integer" in messages[0]
+
+
 def test_attack_rejects_frame_count_mismatch(tmp_path):
     path = tmp_path / "attack.json"
     path.write_text(json.dumps({"T": 3, "frames": [[0.0], [0.0]]}))

@@ -23,10 +23,11 @@ from ltisec import (
     is_zero_state_inducing,
     numerical_rank,
     weakly_unobservable,
+    zero_state_attack_exists,
 )
 from ltisec.reports import analyze_report
 from ltisec.scenario import Scenario
-from ltisec.subspaces import weakly_unobservable_iterates
+from ltisec.subspaces import _nulling_factors, weakly_unobservable_iterates
 from ltisec.synthesis import (
     _LAMBDA_CAP,
     _nulling_frames,
@@ -40,11 +41,14 @@ from ltisec.synthesis import (
 from oracles import (
     SHAPES,
     ill_conditioned,
+    pencil,
     pencil_modes_oracle,
     rank_has_margin,
     pencil_zero_candidates,
     rand_shaped_system,
     rand_system,
+    scan_candidates,
+    scanned_modes_oracle,
     stack_io,
     stack_obs,
     undetectable_oracle,
@@ -478,6 +482,54 @@ def test_nulling_frames_match_dense_min_norm(shape, seed, t):
     _assert_matches_dense(frames, dense)
 
 
+def _frames_with_cost_to_go(sys, x0, t):
+    """``_nulling_frames`` with the cost-to-go P formed at every step, read
+    or not: the reference for the recursion that skips it."""
+    nulling = _nulling_factors(sys, Tol())
+    last = len(nulling) - 1
+    gains = np.empty((t + 1, sys.s, sys.n))
+    p = np.zeros((sys.n, sys.n))
+    for k in range(t, -1, -1):
+        gain, null = nulling[min(t - k, last)]
+        closed, bn = sys.a + sys.b @ gain, sys.b @ null
+        if null.shape[1]:
+            pbn = p @ bn
+            z = np.linalg.solve(np.eye(null.shape[1]) + bn.T @ pbn, pbn.T @ closed)
+            gain = gain - null @ z
+            closed = closed - bn @ z
+        p = closed.T @ p @ closed + gain.T @ gain
+        gains[k] = gain
+    frames = np.empty((t + 1, sys.s))
+    x = x0
+    for k in range(t + 1):
+        frames[k] = gains[k] @ x
+        x = sys.a @ x + sys.b @ frames[k]
+    return frames
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shape=st.sampled_from(("square", "tall")), seed=st.integers(0, 2**32 - 1),
+       t=st.integers(0, 40))
+def test_nulling_frames_without_free_inputs_skip_the_cost_to_go(shape, seed, t):
+    # no factor in use has a free input, so the gains never read P: the
+    # frames are the reference's bit for bit
+    rng = np.random.default_rng(seed)
+    if shape == "square":
+        sys = rand_system(rng)
+        assume(sys.p == sys.s)
+    else:
+        sys = rand_shaped_system(rng, "tall")
+    nulling = _nulling_factors(sys, Tol())
+    assume(not any(null.shape[1] for _, null in nulling[: t + 1]))
+    iterates = weakly_unobservable_iterates(sys)
+    start = iterates[min(t + 1, len(iterates) - 1)]
+    assume(start.dim > 0)
+    x0 = start.basis @ rng.standard_normal(start.dim)
+    frames = _nulling_frames(sys, x0, t, Tol())
+    assert frames is not None
+    assert np.array_equal(frames, _frames_with_cost_to_go(sys, x0, t))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 36))
 def test_undetectable_from_theta_matches_dense_min_norm(shape, seed, extra):
@@ -537,9 +589,10 @@ def test_cached_plant_leaves_synthesis_nothing_to_factorize(aircraft_sys, monkey
     assert len(calls) == 1
 
 
-def _mode_lambdas(sys):
+def _mode_lambdas(sys, hints=None, allow_unstable=False):
     try:
-        return [m.lam for m in find_zero_dynamics_modes(sys)]
+        return [m.lam for m in find_zero_dynamics_modes(sys, lambda_hints=hints,
+                                                        allow_unstable=allow_unstable)]
     except NoModes:
         return []
 
@@ -576,6 +629,105 @@ def test_modes_match_pencil_oracle(shape, seed, log10_cond):
     assert len(got) == len(want)
     for lam, ref in zip(got, want):
         assert abs(lam - ref) <= 1e-7 * (1.0 + abs(ref))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(shape=st.sampled_from(("any", "wide", "no_feedthrough", "unstable")),
+       seed=st.integers(0, 2**32 - 1),
+       hints=st.lists(st.complex_numbers(max_magnitude=1.5, allow_nan=False), max_size=3),
+       allow_unstable=st.booleans())
+def test_scanned_modes_match_scan_oracle(shape, seed, hints, allow_unstable):
+    """Modes of plants whose pencil has a null vector at every lambda (free
+    inputs on V, so ``zero_state_attack_exists``) against one pencil SVD per
+    candidate lambda.
+
+    Margin rule: drop a draw when the pencil at some candidate has a
+    singular value in (1e-12, 1e-6] times its largest
+    (``oracles.rank_has_margin``), so the count of null vectors there is a
+    rounding call.
+    """
+    rng = np.random.default_rng(seed)
+    sys = rand_system(rng) if shape == "any" else rand_shaped_system(rng, shape)
+    assume(zero_state_attack_exists(sys))
+    assume(all(rank_has_margin(np.linalg.svd(pencil(sys, lam), compute_uv=False))
+               for lam in scan_candidates(sys, hints, allow_unstable)))
+    want = scanned_modes_oracle(sys, hints, allow_unstable)
+    got = _mode_lambdas(sys, hints, allow_unstable)
+    assert len(got) == len(want)
+    for lam, ref in zip(got, want):
+        assert abs(lam - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def _pencil_svds(monkeypatch, sys):
+    """Record the lambda of every SVD of a pencil-shaped matrix."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(m, *args, **kwargs):
+        if m.shape == (sys.n + sys.p, sys.n + sys.s):
+            calls.append(complex(m[0, 0] + sys.a[0, 0]))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _assert_scan_matches_oracle(sys, hints, monkeypatch):
+    # no candidate lies on an eigenvalue of Abar, so none takes the pencil SVD
+    for allow_unstable in (False, True):
+        calls = _pencil_svds(monkeypatch, sys)
+        got = _mode_lambdas(sys, hints, allow_unstable)
+        monkeypatch.undo()
+        assert calls == []
+        want = scanned_modes_oracle(sys, hints, allow_unstable)
+        assert want and got == want
+
+
+def test_wide_bench_shaped_plant_matches_scan_oracle(monkeypatch):
+    # p=2, s=3, D=0 and A = 0.95 Q: V = ker C, one free input on it
+    g = np.random.default_rng(60)
+    q, _ = np.linalg.qr(g.standard_normal((60, 60)))
+    sys = LtiSystem(a=0.95 * q, b=g.standard_normal((60, 3)) / np.sqrt(60),
+                    c=g.standard_normal((2, 60)) / np.sqrt(60), d=np.zeros((2, 3)))
+    _assert_scan_matches_oracle(sys, [0.93], monkeypatch)
+
+
+def test_repeated_rows_plant_matches_scan_oracle(repeated_rows_plant, monkeypatch):
+    _assert_scan_matches_oracle(repeated_rows_plant, [0.2, 1.5], monkeypatch)
+
+
+def test_hint_on_an_eigenvalue_of_abar_takes_the_pencil_svd(aircraft_sys, monkeypatch):
+    # an eigenvalue mu of V^T (A + BG) V: (lambda I - Abar) is singular at
+    # the hint, so dividing by lambda - mu is not defined there
+    v = weakly_unobservable(aircraft_sys)
+    gain, _ = _nulling_factors(aircraft_sys, Tol())[-1]
+    mus = np.linalg.eig(v.basis.T @ (aircraft_sys.a + aircraft_sys.b @ gain) @ v.basis)[0]
+    mu = complex(mus[np.argmin(np.abs(mus - AIR_LAMBDA))])
+    assert abs(mu - AIR_LAMBDA) < 1e-3 and mu.imag == 0.0
+    calls = _pencil_svds(monkeypatch, aircraft_sys)
+    modes = find_zero_dynamics_modes(aircraft_sys, lambda_hints=[mu])
+    assert calls == [mu]
+    at_mu = [m for m in modes if m.lam == mu]
+    assert len(at_mu) == 1 and at_mu[0].pencil_residual <= 1e-12
+    monkeypatch.undo()
+    assert [m.lam for m in modes] == scanned_modes_oracle(aircraft_sys, [mu], False)
+
+
+@pytest.mark.parametrize("n", [2, 25])
+def test_defective_abar_takes_the_pencil_svd(n, monkeypatch):
+    # D = [1 0] nulls the output with G = -[C; 0], and B G = 0, so V is the
+    # whole space and Abar = A, a Jordan block at 0.5: X is ill-conditioned
+    # (n = 2, cond ~ 1e16) or exactly singular (n = 25), the eigenvector
+    # formula fails at the hint 0.2, and both candidates take the SVD
+    a = 0.5 * np.eye(n) + np.eye(n, k=1)
+    b = np.zeros((n, 2))
+    b[-1, 1] = 1.0
+    sys = LtiSystem(a=a, b=b, c=np.eye(1, n), d=np.array([[1.0, 0.0]]))
+    calls = _pencil_svds(monkeypatch, sys)
+    got = _mode_lambdas(sys, [0.2])
+    assert sorted(calls, key=lambda z: z.real) == [0.2, 0.5]
+    monkeypatch.undo()
+    assert got == scanned_modes_oracle(sys, [0.2], False) == [0.2, 0.5]
 
 
 @pytest.fixture(scope="module")
