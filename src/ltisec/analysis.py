@@ -7,6 +7,8 @@ attack E(T) is undetectable exactly when a state shift theta exists with
     M_T E(T) = -O_T theta,    theta in ker(Omega) [intersect] V
 
 and theta is unique because O_T is injective for observable systems.  The
+set ker(Omega) [intersect] V is V times the kernel of the small matrix
+Omega V, kept on the system per (Omega, ``Tol``) by ``subspaces``.  The
 certificate carries theta, the achieved residual, and the membership flags
 so borderline decisions stay auditable.
 
@@ -31,8 +33,8 @@ from .model import (
     obs_matrix,
     propagate,
 )
-from .numlin import DEFAULT_TOL, Tol, feasible, intersect, solve_min_norm
-from .subspaces import weakly_unobservable
+from .numlin import DEFAULT_TOL, Tol, feasible, solve_min_norm
+from .subspaces import _null_omega_meet_v, weakly_unobservable
 
 __all__ = [
     "UndetectabilityCertificate",
@@ -103,8 +105,7 @@ def certify_undetectable(
     y_rest, _ = propagate(sys, np.zeros(n), attack)
     rhs = -y_rest.reshape(-1)
     rhs_norm = float(np.linalg.norm(rhs))
-    v = weakly_unobservable(sys, tol)
-    cands = intersect(omega.null_basis, v, tol)
+    cands = _null_omega_meet_v(sys, omega, tol)
     if cands.dim == 0:
         # Only theta = 0 is admissible: undetectable iff the attack never
         # touches the output at all.
@@ -118,7 +119,7 @@ def certify_undetectable(
     in_null = feasible(
         float(np.linalg.norm(omega.omega @ theta)), float(np.linalg.norm(theta)), tol
     )
-    in_v = v.contains(theta, tol)
+    in_v = weakly_unobservable(sys, tol).contains(theta, tol)
     return UndetectabilityCertificate(
         undetectable=und,
         induced_state=theta if und else None,

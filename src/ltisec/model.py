@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFinite
-from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, null_space, numerical_rank
+from .numlin import DEFAULT_TOL, Tol, numerical_rank
 
 __all__ = [
     "LtiSystem",
@@ -61,8 +61,9 @@ def _finite(name: str, m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LtiSystem:
     """The quadruple (A, B, C, D) with dimension accessors n, p, s, held as
-    read-only copies so the factorizations kept on it stay valid: the
-    V-iterates of ``subspaces`` and the range bases of ``detector``."""
+    read-only copies so the results kept on it stay valid: the
+    ``validate`` reports, the V-iterates and ker(Omega) meet V of
+    ``subspaces``, and the range bases of ``detector``."""
 
     a: np.ndarray
     b: np.ndarray
@@ -106,7 +107,7 @@ class LtiSystem:
 
 
 def _memo(sys: LtiSystem, key, compute):
-    """The factorization kept on ``sys`` under ``key``, computed by
+    """The result kept on ``sys`` under ``key``, computed by
     ``compute()`` on first use.  A ``compute`` that raises keeps nothing, so
     the next call raises again.  Threads that race on one key both compute
     it and keep one of two equal results."""
@@ -143,8 +144,13 @@ def validate(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> ValidationReport:
 
     Both must hold before the subspace and certificate machinery is
     meaningful; callers that load scenarios from disk reject systems whose
-    report is not ``ok``.
+    report is not ``ok``.  The checks run once per (system, ``tol``); the
+    report is kept on the system.
     """
+    return _memo(sys, ("validate", tol), lambda: _validation(sys, tol))
+
+
+def _validation(sys: LtiSystem, tol: Tol) -> ValidationReport:
     obs = numerical_rank(_obs_stack(sys.a, sys.c, sys.n - 1), tol) == sys.n
     inj = numerical_rank(np.vstack([sys.b, sys.d]), tol) == sys.s
     return ValidationReport(observable=obs, bd_injective=inj)
@@ -152,23 +158,21 @@ def validate(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> ValidationReport:
 
 @dataclass(frozen=True)
 class SideInformation:
-    """The side-information matrix Omega together with its cached kernel.
+    """The side-information matrix Omega, held as a read-only copy.
 
-    ``y_omega = Omega x(0)`` is assumed uncorruptible.  The kernel basis
-    drives every certificate: undetectable attacks shift the initial state
-    by an element of ker(Omega).  ``omega`` is a read-only copy of the
-    array passed in, so the cached kernel always matches it.
+    ``y_omega = Omega x(0)`` is assumed uncorruptible.  Omega enters every
+    certificate through ker(Omega) meet V, which ``subspaces`` computes and
+    keeps per (system, Omega, ``Tol``) with the ``Tol`` of the call, so
+    ``tol`` is accepted here and decides nothing.
     """
 
     omega: np.ndarray
     tol: Tol = field(default=DEFAULT_TOL, repr=False)
-    null_basis: SubspaceBasis = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         om = np.array(np.atleast_2d(_finite("Omega", self.omega)))
         om.flags.writeable = False
         object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "null_basis", null_space(om, self.tol))
 
     @classmethod
     def none(cls, n: int, tol: Tol = DEFAULT_TOL) -> "SideInformation":

@@ -16,10 +16,10 @@ from .analysis import certify_undetectable
 from .detector import Decision, DetectionTrace, DetectorConfig, run_detector
 from .errors import NoModes
 from .model import AttackSequence, LtiSystem, SideInformation, simulate, validate
-from .numlin import Tol, intersect
+from .numlin import Tol
 from .scenario import Scenario, aircraft_path, load_scenario
-from .subspaces import (_nulling_factors, output_nulling_reachable, weakly_unobservable,
-                        zero_state_attack_exists)
+from .subspaces import (_null_omega_meet_v, _nulling_factors, output_nulling_reachable,
+                        weakly_unobservable, zero_state_attack_exists)
 from .synthesis import find_zero_dynamics_modes
 
 __all__ = [
@@ -126,7 +126,7 @@ def analyze_report(
     # loaded scenario's [B; D] is injective
     rep.add("dim_w1_meet_v", str(_nulling_factors(sys, tol)[-1][1].shape[1]))
     rep.add("zero_state_attack_exists", str(zero_state_attack_exists(sys, tol)).lower())
-    rep.add("dim_null_omega_meet_v", str(intersect(scenario.side.null_basis, v, tol).dim))
+    rep.add("dim_null_omega_meet_v", str(_null_omega_meet_v(sys, scenario.side, tol).dim))
     try:
         modes = find_zero_dynamics_modes(sys, tol, lambda_hints, allow_unstable)
     except NoModes:

@@ -18,13 +18,18 @@ factor, and two of them answer every W_1 question without a further cut:
 N_0 spans ker D, so W_1 = B N_0, and from rest the inputs that null the
 output and land in V are exactly the span of N_inf, so W_1 meets V in
 B N_inf.
+
+Side information Omega enters every certificate through ker(Omega) meet V,
+which is V times the kernel of the small matrix Omega V; it is kept on the
+``LtiSystem`` per (Omega, ``Tol``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import LtiSystem, _memo
+from .errors import DimensionMismatch
+from .model import LtiSystem, SideInformation, _memo
 from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, null_space, orth_columns, rank_cut
 
 __all__ = [
@@ -86,6 +91,35 @@ def _nulling_factors(sys: LtiSystem, tol: Tol) -> tuple:
 def weakly_unobservable(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the weakly unobservable subspace V."""
     return weakly_unobservable_iterates(sys, tol)[-1]
+
+
+def _null_omega_meet_v(sys: LtiSystem, side: SideInformation, tol: Tol) -> SubspaceBasis:
+    """Read-only orthonormal basis of ker(Omega) meet V, kept on ``sys``.
+
+    V has orthonormal columns, so x = V xi lies in ker(Omega) exactly when
+    Omega V xi = 0, and the basis is V times that of ker(Omega V): one SVD
+    of the q x dim V matrix Omega V, cut at ||Omega||_2 with the ``tol`` of
+    the call, since ||Omega V||_2 <= ||Omega||_2.
+
+    Raises
+    ------
+    DimensionMismatch
+        If Omega does not have n columns.
+    """
+    if side.n != sys.n:
+        raise DimensionMismatch(f"Omega has {side.n} columns, state dim is {sys.n}")
+    omega = side.omega
+    # Omega is a read-only copy, so its bytes identify it
+    key = ("null_omega_v", omega.shape, omega.tobytes(), tol)
+
+    def compute() -> SubspaceBasis:
+        v = weakly_unobservable(sys, tol).basis
+        ker = null_space(omega @ v, tol, float(np.linalg.norm(omega, 2)))
+        meet = SubspaceBasis(sys.n, v @ ker.basis)
+        meet.basis.flags.writeable = False
+        return meet
+
+    return _memo(sys, key, compute)
 
 
 def output_nulling_reachable(sys: LtiSystem, k: int, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:

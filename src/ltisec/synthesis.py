@@ -17,6 +17,7 @@ Four constructions, each returning concrete attack frames:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -81,24 +82,39 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(piv) / np.abs(piv))
 
 
-def _mode(sys: LtiSystem, lam: complex, v: np.ndarray, tol: Tol) -> ZeroDynamicsMode | None:
-    """Verify a unit-norm candidate null vector v = [theta; g] at lam."""
-    v = _canonical_phase(v)
-    if np.max(np.abs(v.imag)) <= _IMAG_NOISE and abs(lam.imag) <= _IMAG_NOISE:
-        v = v.real.astype(complex)
-        lam = complex(lam.real)
-    theta, g = v[: sys.n], v[sys.n :]
-    if np.linalg.norm(g) <= _BLOCK_FLOOR or np.linalg.norm(theta) <= _BLOCK_FLOOR:
-        return None
-    resid = float(np.linalg.norm(_pencil(sys, lam) @ v))
-    # v has unit norm, so the scale ||theta|| + ||g|| is at least 1
-    if feasible(resid, float(np.linalg.norm(theta) + np.linalg.norm(g)), tol):
-        return ZeroDynamicsMode(lam, g, theta, resid)
-    return None
+def _real_if_noise(lam: np.ndarray) -> np.ndarray:
+    """Each lambda, made real where its imaginary part is rounding noise."""
+    return np.where(np.abs(lam.imag) <= _IMAG_NOISE * (1.0 + np.abs(lam)), lam.real.astype(complex), lam)
 
 
-def _real_if_noise(lam: complex) -> complex:
-    return complex(lam.real) if abs(lam.imag) <= _IMAG_NOISE * (1.0 + abs(lam)) else lam
+def _verified(sys: LtiSystem, lam: np.ndarray, w: np.ndarray, tol: Tol) -> list[ZeroDynamicsMode | None]:
+    """Verify unit-norm candidate null vectors, the columns [theta; g] of
+    ``w`` at the entries of ``lam``, all at once: the mode of each column,
+    or None where a block vanishes or the pencil residual is infeasible.
+
+    Each column is rotated so its largest entry is positive real
+    (``_canonical_phase``), and made real with its lambda where both
+    imaginary parts are rounding noise.  One product with [A B; C D] gives
+    every residual ||[lambda theta - A theta - B g; C theta + D g]||.
+    """
+    n = sys.n
+    w = np.array(w)  # a copy, rotated in place below; real columns turn by exactly +-1
+    piv = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
+    mag = np.abs(piv)
+    turn = mag > 0
+    w[:, turn] *= np.conj(piv[turn]) / mag[turn]
+    w = w.astype(complex, copy=False)
+    real = (np.max(np.abs(w.imag), axis=0) <= _IMAG_NOISE) & (np.abs(lam.imag) <= _IMAG_NOISE)
+    w.imag[:, real] = 0.0
+    lam = np.where(real, lam.real.astype(complex), lam)
+    theta_norm, g_norm = np.linalg.norm(w[:n], axis=0), np.linalg.norm(w[n:], axis=0)
+    r = np.block([[sys.a, sys.b], [sys.c, sys.d]]) @ w
+    r[:n] = lam * w[:n] - r[:n]
+    resid = np.linalg.norm(r, axis=0)
+    # w has unit columns, so the scale ||theta|| + ||g|| is at least 1
+    ok = feasible(resid, theta_norm + g_norm, tol) & (theta_norm > _BLOCK_FLOOR) & (g_norm > _BLOCK_FLOOR)
+    return [ZeroDynamicsMode(complex(lam[j]), w[n:, j].copy(), w[:n, j].copy(), float(resid[j]))
+            if ok[j] else None for j in range(w.shape[1])]
 
 
 def _scanned_modes(sys: LtiSystem, lams: list[complex], basis: np.ndarray, gain: np.ndarray,
@@ -108,9 +124,10 @@ def _scanned_modes(sys: LtiSystem, lams: list[complex], basis: np.ndarray, gain:
     Off spec(Abar), Abar = X diag(mu) X^-1, the pencil null vectors are
     theta = V (lambda - Abar)^-1 Bbar z, Bbar = V^T B N, and g = G theta + N z,
     so theta = V X (Y / (lambda - mu)) with Y = X^-1 Bbar for every lambda at
-    once.  A lambda within the rank cut of some mu (against the largest gap
-    and ||Abar||_F), or whose candidates fail verification (an
-    ill-conditioned X), takes the pencil SVD instead.
+    once, and one ``_verified`` call checks them all.  A lambda within the
+    rank cut of some mu (against the largest gap and ||Abar||_F), or whose
+    candidates fail verification (an ill-conditioned X), takes the pencil
+    SVD instead.
     """
     lam = np.array(lams, dtype=complex)
     mu, x = np.linalg.eig(abar)
@@ -126,13 +143,20 @@ def _scanned_modes(sys: LtiSystem, lams: list[complex], basis: np.ndarray, gain:
         w.imag[lam.imag == 0] = 0.0  # X's rounding: null vectors at a real lambda are real
         # one column needs no QR; a norm that overflows leaves a zero column, which fails
         q = np.linalg.qr(w).Q if null.shape[1] > 1 else w / np.linalg.norm(w, axis=1, keepdims=True)
+    # rows marked here hold NaN or are not null vectors; they stay out of the batch
     svd_at |= ~np.isfinite(q).all(axis=(1, 2))
+    m = null.shape[1]
+    batch = np.flatnonzero(~svd_at)
+    # column i m + k of the stack is candidate k at lambda number batch[i]
+    stack = q[batch].transpose(1, 0, 2).reshape(sys.n + sys.s, -1)
+    checked = iter(_verified(sys, np.repeat(lam[batch], m), stack, tol))
     modes: list[ZeroDynamicsMode | None] = []
     for j, l in enumerate(lams):
-        found = [] if svd_at[j] else [_mode(sys, l, col, tol) for col in q[j].T]
+        found = [] if svd_at[j] else list(islice(checked, m))
         if svd_at[j] or None in found:
             _, sv, vh = np.linalg.svd(_pencil(sys, l))
-            found = [_mode(sys, l, col, tol) for col in vh[rank_cut(sv, tol):].conj()]
+            vecs = vh[rank_cut(sv, tol):].conj().T
+            found = _verified(sys, np.full(vecs.shape[1], l), vecs, tol)
         modes += found
     return modes
 
@@ -141,7 +165,8 @@ def _candidate_lambdas(sys: LtiSystem, lambda_hints: list[complex] | None) -> li
     """Hints and eig(A), folded onto the closed upper half plane and merged."""
     cands = [complex(h) for h in (lambda_hints or [])]
     cands += [complex(l) for l in np.linalg.eigvals(sys.a)]
-    folded = [lam if lam.imag >= 0 else lam.conjugate() for lam in map(_real_if_noise, cands)]
+    folded = [lam if lam.imag >= 0 else lam.conjugate()
+              for lam in _real_if_noise(np.array(cands, dtype=complex)).tolist()]
     folded.sort(key=lambda z: (z.real, z.imag))
     merged: list[complex] = []
     for lam in folded:
@@ -184,10 +209,11 @@ def find_zero_dynamics_modes(
         found = _scanned_modes(sys, lams, v.basis, gain, null, abar, tol)
     else:
         mu, x = np.linalg.eig(abar)
-        vecs = np.vstack([v.basis @ x, gain @ v.basis @ x])
         # conjugate pairs are reported once, from the upper half plane
-        found = [_mode(sys, _real_if_noise(complex(lam)), w / np.linalg.norm(w), tol)
-                 for lam, w in zip(mu, vecs.T) if lam.imag >= 0 and abs(lam) <= _LAMBDA_CAP]
+        keep = (mu.imag >= 0) & (np.abs(mu) <= _LAMBDA_CAP)
+        theta = v.basis @ x[:, keep]
+        vecs = np.vstack([theta, gain @ theta])
+        found = _verified(sys, _real_if_noise(mu[keep]), vecs / np.linalg.norm(vecs, axis=0), tol)
     modes = [m for m in found if m is not None]
     if not modes:
         raise NoModes("no lambda produced a verified pencil null vector")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ltisec.model
 import ltisec.subspaces
 from ltisec import Tol, aircraft_path, load_scenario
 
@@ -48,4 +49,19 @@ def isa_runs(monkeypatch):
         return isa(sys, tol)
 
     monkeypatch.setattr(ltisec.subspaces, "_isa", counted)
+    return runs
+
+
+@pytest.fixture()
+def validation_runs(monkeypatch):
+    """The Tol of every run of the standing-assumption checks behind
+    ``validate``, in call order."""
+    runs = []
+    checks = ltisec.model._validation
+
+    def counted(sys, tol):
+        runs.append(tol)
+        return checks(sys, tol)
+
+    monkeypatch.setattr(ltisec.model, "_validation", counted)
     return runs

@@ -43,6 +43,34 @@ def _kernel(m):
     return scipy.linalg.null_space(m)
 
 
+def _meet_stack(omega, v_basis, rank_rel):
+    n = v_basis.shape[0]
+    k = scipy.linalg.null_space(omega, rcond=rank_rel) if np.any(omega) else np.eye(n)
+    return np.vstack([np.eye(n) - k @ k.T, np.eye(n) - v_basis @ v_basis.T])
+
+
+def null_omega_meet_v(omega, v_basis, rank_rel: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of ker(Omega) meet V as the kernel of the stacked
+    complement projectors [I - K K^T; I - V V^T], with K = ker(Omega) from
+    scipy (cut at ``rank_rel`` times the largest singular value of Omega).
+    The stack has entries of order one unless both complements vanish."""
+    stack = _meet_stack(omega, v_basis, rank_rel)
+    if not np.any(stack):
+        return np.eye(v_basis.shape[0])
+    return scipy.linalg.null_space(stack, rcond=rank_rel)
+
+
+def meet_has_margin(omega, v_basis, rank_rel: float = 1e-10) -> bool:
+    """Whether every rank decision behind ker(Omega) meet V is taken with a
+    margin (``rank_has_margin``): those of Omega and of the oracle's
+    projector stack, and that of Omega V against ||Omega||_2."""
+    sv_omega = np.linalg.svd(omega, compute_uv=False)
+    sv_meet = np.linalg.svd(omega @ v_basis, compute_uv=False)
+    return (rank_has_margin(sv_omega)
+            and rank_has_margin(np.concatenate([sv_omega[:1], sv_meet]))
+            and rank_has_margin(np.linalg.svd(_meet_stack(omega, v_basis, rank_rel), compute_uv=False)))
+
+
 def undetectable_oracle(sys: LtiSystem, omega: np.ndarray, attack: AttackSequence,
                         rtol: float = 1e-8) -> bool:
     """Feasibility of O_T delta = M_T E with Omega delta = 0, solved as one

@@ -25,7 +25,6 @@ from ltisec import (
     batch_decide,
     certify_undetectable,
     extension_verdict,
-    intersect,
     io_matrix,
     is_zero_state_inducing,
     null_space,
@@ -47,6 +46,7 @@ from ltisec.synthesis import (
 
 from oracles import (
     extension_brute_oracle,
+    null_omega_meet_v,
     rand_side,
     rand_system,
     undetectable_oracle,
@@ -57,10 +57,10 @@ SUITE_SEED = 987654321
 
 
 def _draw_theta(rng, side, v):
-    cands = intersect(side.null_basis, v)
-    if cands.dim == 0:
+    cands = null_omega_meet_v(side.omega, v.basis)
+    if cands.shape[1] == 0:
         return None
-    theta = cands.basis @ rng.standard_normal(cands.dim)
+    theta = cands @ rng.standard_normal(cands.shape[1])
     norm = np.linalg.norm(theta)
     return None if norm < 1e-9 else theta / norm
 

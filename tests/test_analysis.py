@@ -14,7 +14,6 @@ from ltisec import (
     certify_undetectable,
     classify,
     extension_verdict,
-    intersect,
     is_zero_state_inducing,
     weakly_unobservable,
 )
@@ -28,6 +27,7 @@ from ltisec.synthesis import (
 from oracles import (
     SHAPES,
     extension_brute_oracle,
+    null_omega_meet_v,
     rand_shaped_system,
     rand_side,
     rand_system,
@@ -142,6 +142,28 @@ def test_full_rank_side_info_forces_zero_shift(rng):
             assert np.linalg.norm(cert.induced_state) <= 1e-6
 
 
+def test_verdict_follows_the_tol_of_the_call(aircraft_sys):
+    # Omega has two nearly equal rows: a V^perp direction plus 1e-8 of one
+    # V basis vector, and the same row plus 1e-8 of a random vector; theta
+    # is another V basis vector.  At rank_rel = 1e-6 the rows are one row
+    # that misses V, so theta is admissible; at the default they are two.
+    # The Tol given to SideInformation decides nothing: when it cut ker(Omega)
+    # at its own rank_rel, this certificate came out detectable (residual
+    # 2.11) under the default and undetectable (1.69e-8) under 1e-6.
+    sys = aircraft_sys
+    v = weakly_unobservable(sys).basis
+    perp = np.linalg.svd(v.T)[2][-1]
+    row = perp + 1e-8 * v[:, 0]
+    omega = np.vstack([row, row + 1e-8 * np.random.default_rng(0).standard_normal(4)])
+    attack = undetectable_from_theta(sys, SideInformation.none(4), v[:, 1], 10)
+    loose = Tol(rank_rel=1e-6)
+    for call_tol, want in ((loose, True), (Tol(), False)):
+        certs = [certify_undetectable(sys, SideInformation(omega, side_tol), attack, call_tol)
+                 for side_tol in (Tol(), loose)]
+        assert [c.undetectable for c in certs] == [want, want]
+        assert certs[0].residual == certs[1].residual
+
+
 def test_truncation_preserves_undetectability(rng):
     # dropping trailing frames keeps the same explaining state valid
     hits = 0
@@ -149,16 +171,10 @@ def test_truncation_preserves_undetectability(rng):
         sys = rand_system(rng)
         side = rand_side(rng, sys.n)
         t = 2 * sys.n + 1
-        v = weakly_unobservable(sys)
-        cands = side.null_basis
-        theta = None
-        for j in range(cands.dim):
-            x = cands.basis[:, j]
-            if v.residual_outside(x) <= 1e-9 * max(1.0, np.linalg.norm(x)):
-                theta = x
-                break
-        if theta is None:
+        cands = null_omega_meet_v(side.omega, weakly_unobservable(sys).basis)
+        if cands.shape[1] == 0:
             continue
+        theta = cands[:, 0]
         try:
             attack = undetectable_from_theta(sys, side, theta, t)
         except Exception:
@@ -266,9 +282,9 @@ def test_certificate_and_extension_match_oracles_moderate_horizon(shape):
         sys = rand_shaped_system(rng, shape)
         side = rand_side(rng, sys.n, ("mixed", "zero", "full")[i % 3])
         t = int(rng.integers(8, 13) if shape == "unstable" else rng.integers(20, 41))
-        cands = intersect(side.null_basis, weakly_unobservable(sys))
-        if i % 2 == 0 and cands.dim:
-            theta = cands.basis @ rng.standard_normal(cands.dim)
+        cands = null_omega_meet_v(side.omega, weakly_unobservable(sys).basis)
+        if i % 2 == 0 and cands.shape[1]:
+            theta = cands @ rng.standard_normal(cands.shape[1])
             attack = undetectable_from_theta(sys, side, theta, t)
         else:
             attack = AttackSequence(rng.standard_normal((t + 1, sys.s)))

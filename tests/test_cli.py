@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ltisec
+from ltisec import Tol
 from ltisec.cli import main
 from ltisec.scenario import aircraft_path
 
@@ -155,14 +156,21 @@ def test_synthesize_extend_pipeline(aircraft_file, tmp_path, capsys):
     assert code == 0
 
 
-def test_analyze_runs_the_isa_once(tmp_path, capsys, isa_runs):
+def test_analyze_runs_the_isa_once(tmp_path, capsys, isa_runs, validation_runs):
     # the dimension lines and the eigenproblem of the mode search (s <= p)
-    # share one V
+    # share one V, and loading the scenario and the report share one
+    # validation per Tol
     square = _plant_file(tmp_path, "square.json", [[0.1, 1.0]], [[0.0]])
     code, out, _ = run_cli(capsys, "analyze", "--scenario", square)
     assert code == 0
     assert "lambda=0.4" in out
     assert len(isa_runs) == 1
+    assert validation_runs == [Tol()]
+    validation_runs.clear()
+    code, out, _ = run_cli(capsys, "analyze", "--scenario", square, "--tol", "1e-6")
+    assert code == 0
+    assert "observable: true" in out
+    assert validation_runs == [Tol(residual_rel=1e-6)]
 
 
 def test_synthesize_extend_runs_the_isa_once(aircraft_file, tmp_path, capsys, isa_runs):

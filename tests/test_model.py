@@ -6,6 +6,7 @@ from ltisec import (
     DimensionMismatch,
     LtiSystem,
     SideInformation,
+    Tol,
     Trajectory,
     ctrl_matrix,
     io_matrix,
@@ -17,6 +18,7 @@ from ltisec import (
     validate,
     weakly_unobservable,
 )
+from ltisec.subspaces import _null_omega_meet_v
 from ltisec.synthesis import find_zero_dynamics_modes, zero_dynamics_attack
 
 from oracles import SHAPES, rand_shaped_system, rand_system, stack_io
@@ -217,14 +219,22 @@ def test_attack_sequence_helpers():
         AttackSequence.from_stacked(np.ones(5), 2)
 
 
+def _feedthrough_plant(n: int) -> LtiSystem:
+    # D = 1 nulls the output from every state, so V is the whole space and
+    # ker(Omega) meet V is ker(Omega)
+    return LtiSystem(a=0.5 * np.eye(n, k=1), b=np.ones((n, 1)), c=np.eye(1, n), d=np.eye(1))
+
+
 def test_side_information_kernel():
+    sys, tol = _feedthrough_plant(4), Tol()
+    assert weakly_unobservable(sys).dim == 4
     side = SideInformation(np.array([[1.0, 0.0, 0.0, 0.0]]))
     assert side.q == 1
-    assert side.null_basis.dim == 3
-    full = SideInformation(np.eye(4))
-    assert full.null_basis.dim == 0
-    zero = SideInformation.none(4)
-    assert zero.null_basis.dim == 4
+    assert _null_omega_meet_v(sys, side, tol).dim == 3
+    assert _null_omega_meet_v(sys, SideInformation(np.eye(4)), tol).dim == 0
+    assert _null_omega_meet_v(sys, SideInformation.none(4), tol).dim == 4
+    with pytest.raises(DimensionMismatch):
+        _null_omega_meet_v(sys, SideInformation.none(3), tol)
 
 
 def test_trajectory_stacked():
@@ -301,7 +311,8 @@ def test_side_information_holds_a_read_only_copy():
     side = SideInformation(om)
     om[:] = [[0.0, 1.0]]
     assert np.array_equal(side.omega, [[1.0, 0.0]])
-    assert np.linalg.norm(side.omega @ side.null_basis.basis) == 0.0
+    meet = _null_omega_meet_v(_feedthrough_plant(2), side, Tol()).basis
+    assert meet.shape == (2, 1) and abs(meet[1, 0]) == 1.0
     with pytest.raises(ValueError):
         side.omega[0, 0] = 2.0
 

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ltisec.subspaces
 
 from ltisec import (
     LtiSystem,
+    SideInformation,
+    Tol,
     io_matrix,
     obs_matrix,
     output_nulling_reachable,
@@ -14,10 +18,11 @@ from ltisec import (
     zero_state_attack_exists,
 )
 from ltisec.numlin import orth_columns
+from ltisec.subspaces import _null_omega_meet_v
 from ltisec.synthesis import find_zero_dynamics_modes
 
-from oracles import (SHAPES, rand_shaped_system, rand_system, rank_has_margin, stack_io,
-                     zero_state_oracle)
+from oracles import (SHAPES, meet_has_margin, null_omega_meet_v, rand_shaped_system, rand_side,
+                     rand_system, rank_has_margin, stack_io, zero_state_oracle)
 
 
 def test_v_trivial_observable_no_feedthrough():
@@ -262,3 +267,45 @@ def test_v_annihilates_stacked_response(rng):
         rhs = -(obs @ x)
         coef = np.linalg.lstsq(io, rhs, rcond=None)[0]
         assert np.linalg.norm(io @ coef - rhs) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
+
+
+def _draw_omega(rng, kind: str, v: np.ndarray) -> np.ndarray:
+    n, d = v.shape
+    if kind in ("mixed", "zero", "full"):
+        return rand_side(rng, n, kind).omega
+    q = int(rng.integers(1, n + 1))
+    if kind == "inside_v":
+        return rng.standard_normal((q, d)) @ v.T
+    return rng.standard_normal((q, n)) @ (np.eye(n) - v @ v.T)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(shape=st.sampled_from(("any",) + SHAPES),
+       kind=st.sampled_from(("mixed", "zero", "full", "inside_v", "perp_v")),
+       seed=st.integers(0, 2**32 - 1))
+def test_null_omega_meet_v_matches_stacked_projectors(shape, kind, seed):
+    """ker(Omega) meet V from one SVD of Omega V against the oracle's kernel
+    of stacked complement projectors, for Omega with mixed rows, zero, of
+    full rank (q = n), with rows inside V, and with rows inside V^perp.
+
+    Margin rule: drop a draw when a rank decision of either computation has
+    a singular value in (1e-12, 1e-6] times its scale
+    (``oracles.meet_has_margin``)."""
+    rng = np.random.default_rng(seed)
+    sys = rand_system(rng) if shape == "any" else rand_shaped_system(rng, shape)
+    v = weakly_unobservable(sys).basis
+    omega = _draw_omega(rng, kind, v)
+    assume(meet_has_margin(omega, v))
+    want = null_omega_meet_v(omega, v)
+    got = _null_omega_meet_v(sys, SideInformation(omega), Tol())
+    assert got.dim == want.shape[1]
+    assert np.linalg.norm(got.basis @ got.basis.T - want @ want.T, 2) <= 1e-8
+
+
+def test_null_omega_meet_v_is_kept_per_omega_and_tol(aircraft_sys, aircraft_side):
+    tol = Tol()
+    meet = _null_omega_meet_v(aircraft_sys, aircraft_side, tol)
+    assert not meet.basis.flags.writeable
+    # an equal Omega in another object finds the kept basis
+    assert _null_omega_meet_v(aircraft_sys, SideInformation(aircraft_side.omega.copy()), tol) is meet
+    assert _null_omega_meet_v(aircraft_sys, aircraft_side, Tol(rank_rel=1e-6)) is not meet

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ltisec.synthesis
+
 from ltisec import (
     AttackSequence,
     DimensionMismatch,
@@ -30,7 +32,10 @@ from ltisec.scenario import Scenario
 from ltisec.subspaces import _nulling_factors, weakly_unobservable_iterates
 from ltisec.synthesis import (
     _LAMBDA_CAP,
+    ZeroDynamicsMode,
+    _canonical_phase,
     _nulling_frames,
+    _pencil,
     extend_attack,
     find_zero_dynamics_modes,
     undetectable_from_theta,
@@ -713,21 +718,96 @@ def test_hint_on_an_eigenvalue_of_abar_takes_the_pencil_svd(aircraft_sys, monkey
     assert [m.lam for m in modes] == scanned_modes_oracle(aircraft_sys, [mu], False)
 
 
-@pytest.mark.parametrize("n", [2, 25])
-def test_defective_abar_takes_the_pencil_svd(n, monkeypatch):
+def _defective_plant(n):
     # D = [1 0] nulls the output with G = -[C; 0], and B G = 0, so V is the
     # whole space and Abar = A, a Jordan block at 0.5: X is ill-conditioned
-    # (n = 2, cond ~ 1e16) or exactly singular (n = 25), the eigenvector
-    # formula fails at the hint 0.2, and both candidates take the SVD
+    # (n = 2, cond ~ 1e16) or exactly singular (n = 25)
     a = 0.5 * np.eye(n) + np.eye(n, k=1)
     b = np.zeros((n, 2))
     b[-1, 1] = 1.0
-    sys = LtiSystem(a=a, b=b, c=np.eye(1, n), d=np.array([[1.0, 0.0]]))
+    return LtiSystem(a=a, b=b, c=np.eye(1, n), d=np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 25])
+def test_defective_abar_takes_the_pencil_svd(n, monkeypatch):
+    # the eigenvector formula fails at the hint 0.2, and both candidates
+    # take the SVD
+    sys = _defective_plant(n)
     calls = _pencil_svds(monkeypatch, sys)
     got = _mode_lambdas(sys, [0.2])
     assert sorted(calls, key=lambda z: z.real) == [0.2, 0.5]
     monkeypatch.undo()
     assert got == scanned_modes_oracle(sys, [0.2], False) == [0.2, 0.5]
+
+
+def _reference_mode(sys, lam, v, tol):
+    """One candidate verified as a product with the whole pencil."""
+    v = _canonical_phase(v)
+    if np.max(np.abs(v.imag)) <= 1e-12 and abs(lam.imag) <= 1e-12:
+        v, lam = v.real.astype(complex), complex(lam.real)
+    theta, g = v[: sys.n], v[sys.n :]
+    if np.linalg.norm(g) <= 1e-8 or np.linalg.norm(theta) <= 1e-8:
+        return None
+    resid = float(np.linalg.norm(_pencil(sys, lam) @ v))
+    ok = resid <= tol.residual_rel * max(1.0, np.linalg.norm(theta) + np.linalg.norm(g))
+    return ZeroDynamicsMode(lam, g, theta, resid) if ok else None
+
+
+def _verified_batches(monkeypatch):
+    """Record the input and the output of every ``_verified`` call."""
+    batches = []
+    verified = ltisec.synthesis._verified
+
+    def recorded(sys, lam, w, tol):
+        out = verified(sys, lam, w, tol)
+        batches.append((lam.copy(), w.copy(), out))
+        return out
+
+    monkeypatch.setattr(ltisec.synthesis, "_verified", recorded)
+    return batches
+
+
+def _plants_to_verify():
+    rng = np.random.default_rng(17)
+    draws = [(rand_shaped_system(rng, shape), [0.3, 0.7 + 0.2j]) for shape in SHAPES for _ in range(6)]
+    draws += [(rand_system(rng), [0.5]) for _ in range(12)]
+    return draws
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 25])
+def test_batched_verification_matches_pencil_products(n, monkeypatch,
+                                                      repeated_rows_plant, nonminimum_phase_plant):
+    # every candidate of the eigenvector path (s <= p) and of the scanned
+    # path, the pencil SVD fallback included, against one product with the
+    # whole pencil per candidate: the same kept set, lambda, theta and g,
+    # and residuals equal up to rounding
+    tol = Tol()
+    plants = [(_defective_plant(n), [0.2]), (repeated_rows_plant, [0.2, 1.5]),
+              (nonminimum_phase_plant, None)] + (_plants_to_verify() if n == 2 else [])
+    batches = _verified_batches(monkeypatch)
+    paths = set()
+    for sys, hints in plants:
+        batches.clear()
+        try:
+            find_zero_dynamics_modes(sys, tol, hints, allow_unstable=True)
+        except NoModes:
+            pass
+        for lam, w, out in batches:
+            assert np.isfinite(w).all()
+            paths.add(zero_state_attack_exists(sys))
+            scale = 1.0 + float(np.max(np.abs(lam), initial=0.0)) + np.linalg.norm(
+                np.block([[sys.a, sys.b], [sys.c, sys.d]]), 2)
+            for j, got in enumerate(out):
+                want = _reference_mode(sys, complex(lam[j]), w[:, j], tol)
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                assert got.lam == want.lam
+                assert np.array_equal(got.theta, want.theta) and np.array_equal(got.g, want.g)
+                assert abs(got.pencil_residual - want.pencil_residual) <= 1e-14 * scale
+    # both the eigenvector path and the scanned path were checked
+    assert paths == {False, True}
 
 
 @pytest.fixture(scope="module")
