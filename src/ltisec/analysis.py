@@ -8,9 +8,9 @@ attack E(T) is undetectable exactly when a state shift theta exists with
 
 and theta is unique because O_T is injective for observable systems.  The
 set ker(Omega) [intersect] V is V times the kernel of the small matrix
-Omega V, kept on the system per (Omega, ``Tol``) by ``subspaces``.  The
-certificate carries theta, the achieved residual, and the membership flags
-so borderline decisions stay auditable.
+Omega V, kept on the system per (``SideInformation``, ``Tol``) by
+``subspaces``.  The certificate carries theta, the achieved residual, and
+the membership flags so borderline decisions stay auditable.
 
 Every product with M_T or C_T is a run of the state recursion
 (``model.propagate``): M_T E(T) is the output from rest, and the state the
@@ -52,7 +52,7 @@ __all__ = [
 _SHAPE_FIT_REL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UndetectabilityCertificate:
     undetectable: bool
     induced_state: np.ndarray | None
@@ -61,7 +61,7 @@ class UndetectabilityCertificate:
     theta_in_v: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionVerdict:
     extensible_forever: bool
     test_vector: np.ndarray

@@ -66,7 +66,8 @@ class Decision(str, Enum):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Window length, tolerances, and side information for one detector."""
+    """Window length, tolerances, and side information for one detector;
+    configs compare and hash by these values."""
 
     window_len_l: int
     omega: SideInformation
@@ -89,7 +90,7 @@ class EpochDecision:
     window_norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionTrace:
     """The decided epochs as four equal-length, read-only columns: the epoch
     index ``k``, whether it decided ``attack``, and its ``residual`` and
@@ -141,10 +142,8 @@ def _prepared(sys: LtiSystem, config: DetectorConfig,
     checked vector: what both detector paths start from."""
     if config.omega.n != sys.n:
         raise DimensionMismatch(f"Omega has {config.omega.n} columns, state dim is {sys.n}")
-    l, omega, tol = config.window_len_l, config.omega.omega, config.tol
-    # Omega is a read-only copy, so its bytes identify it
-    key = ("detector", l, omega.shape, omega.tobytes(), tol)
-    q_first, q_later = _memo(sys, key, lambda: _range_bases(sys, omega, l, tol))
+    q_first, q_later = _memo(sys, ("detector", config), lambda: _range_bases(
+        sys, config.omega.omega, config.window_len_l, config.tol))
     y_omega = np.asarray(y_omega, float).reshape(-1)
     if y_omega.shape[0] != config.omega.q:
         raise DimensionMismatch(f"y_omega has length {y_omega.shape[0]}, expected {config.omega.q}")
@@ -156,12 +155,11 @@ def _prepared(sys: LtiSystem, config: DetectorConfig,
 class DetectorSession:
     """Single-owner streaming state: a ring of the last l output frames.
 
-    The orthonormal bases of the two test ranges depend only on the plant,
-    l, Omega and the tolerances, so they are computed once per such
-    combination and kept, read-only, on the ``LtiSystem``; every session on
-    that plant and config reuses them.  Each frame is copied twice into a
-    (2l, p) ring, so the window is always one contiguous view, and each
-    ``push`` costs one projection and two norms.
+    The orthonormal bases of the two test ranges depend only on the plant
+    and the config, so they are kept, read-only, on the ``LtiSystem`` per
+    equal config; every session on that plant and config reuses them.  Each
+    frame is copied twice into a (2l, p) ring, so the window is always one
+    contiguous view, and each ``push`` costs one projection and two norms.
     """
 
     def __init__(self, sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray):

@@ -58,12 +58,13 @@ def _finite(name: str, m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiSystem:
     """The quadruple (A, B, C, D) with dimension accessors n, p, s, held as
     read-only copies so the results kept on it stay valid: the
     ``validate`` reports, the V-iterates and ker(Omega) meet V of
-    ``subspaces``, and the range bases of ``detector``."""
+    ``subspaces``, and the range bases of ``detector``.  A system compares
+    by identity, as the results it keeps are its own."""
 
     a: np.ndarray
     b: np.ndarray
@@ -162,17 +163,22 @@ class SideInformation:
 
     ``y_omega = Omega x(0)`` is assumed uncorruptible.  Omega enters every
     certificate through ker(Omega) meet V, which ``subspaces`` computes and
-    keeps per (system, Omega, ``Tol``) with the ``Tol`` of the call, so
-    ``tol`` is accepted here and decides nothing.
+    keeps per (system, side information, ``Tol``) with the ``Tol`` of the
+    call, so ``tol`` is accepted here and decides nothing.  Two side
+    informations are equal, and hash equal, exactly when their Omegas have
+    the same shape and bytes, taken once here; the results kept per Omega
+    are keyed by this value.
     """
 
-    omega: np.ndarray
-    tol: Tol = field(default=DEFAULT_TOL, repr=False)
+    omega: np.ndarray = field(compare=False)
+    tol: Tol = field(default=DEFAULT_TOL, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         om = np.array(np.atleast_2d(_finite("Omega", self.omega)))
         om.flags.writeable = False
         object.__setattr__(self, "omega", om)
+        object.__setattr__(self, "_key", (om.shape, om.tobytes()))
 
     @classmethod
     def none(cls, n: int, tol: Tol = DEFAULT_TOL) -> "SideInformation":
@@ -191,30 +197,23 @@ class SideInformation:
         return self.omega @ np.asarray(x0, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackSequence:
-    """Attack frames a(0..T), stored row-per-frame as a (T+1) x s array."""
+    """Attack frames a(0..T), held row-per-frame as a read-only (T+1) x s
+    copy."""
 
     frames: np.ndarray
 
     def __post_init__(self) -> None:
-        f = np.atleast_2d(_finite("attack frames", self.frames))
+        f = np.array(np.atleast_2d(_finite("attack frames", self.frames)))
         if f.shape[0] == 0:
             raise DimensionMismatch("an attack needs at least one frame")
+        f.flags.writeable = False
         object.__setattr__(self, "frames", f)
 
     @classmethod
     def zeros(cls, s: int, horizon_t: int) -> "AttackSequence":
         return cls(np.zeros((horizon_t + 1, s)))
-
-    @classmethod
-    def from_stacked(cls, e: np.ndarray, s: int) -> "AttackSequence":
-        e = np.asarray(e, dtype=float).reshape(-1)
-        if s <= 0 or e.size % s:
-            raise DimensionMismatch(
-                f"stacked attack of length {e.size} is not a multiple of s={s}"
-            )
-        return cls(e.reshape(-1, s))
 
     @property
     def s(self) -> int:
@@ -233,13 +232,8 @@ class AttackSequence:
     def is_zero(self) -> bool:
         return not np.any(self.frames)
 
-    def truncated(self, horizon_t: int) -> "AttackSequence":
-        if not 0 <= horizon_t <= self.horizon_t:
-            raise DimensionMismatch(f"cannot truncate horizon {self.horizon_t} to {horizon_t}")
-        return AttackSequence(self.frames[: horizon_t + 1].copy())
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Simulated or logged output data y(0..T) plus initial-state metadata,
     held as read-only copies, so they stay finite as checked here."""
@@ -261,11 +255,6 @@ class Trajectory:
     @property
     def horizon_t(self) -> int:
         return self.outputs.shape[0] - 1
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """Y(T): outputs concatenated into one vector of length p(T+1)."""
-        return self.outputs.reshape(-1)
 
 
 def obs_matrix(sys: LtiSystem, t: int) -> np.ndarray:

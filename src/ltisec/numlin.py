@@ -67,7 +67,7 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """A subspace of real coordinate space, stored as an orthonormal basis.
 

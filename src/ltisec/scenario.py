@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     system: LtiSystem
     side: SideInformation

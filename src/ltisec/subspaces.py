@@ -21,7 +21,7 @@ B N_inf.
 
 Side information Omega enters every certificate through ker(Omega) meet V,
 which is V times the kernel of the small matrix Omega V; it is kept on the
-``LtiSystem`` per (Omega, ``Tol``).
+``LtiSystem`` per (``SideInformation``, ``Tol``).
 """
 
 from __future__ import annotations
@@ -108,18 +108,15 @@ def _null_omega_meet_v(sys: LtiSystem, side: SideInformation, tol: Tol) -> Subsp
     """
     if side.n != sys.n:
         raise DimensionMismatch(f"Omega has {side.n} columns, state dim is {sys.n}")
-    omega = side.omega
-    # Omega is a read-only copy, so its bytes identify it
-    key = ("null_omega_v", omega.shape, omega.tobytes(), tol)
 
     def compute() -> SubspaceBasis:
-        v = weakly_unobservable(sys, tol).basis
+        v, omega = weakly_unobservable(sys, tol).basis, side.omega
         ker = null_space(omega @ v, tol, float(np.linalg.norm(omega, 2)))
         meet = SubspaceBasis(sys.n, v @ ker.basis)
         meet.basis.flags.writeable = False
         return meet
 
-    return _memo(sys, key, compute)
+    return _memo(sys, ("null_omega_v", side, tol), compute)
 
 
 def output_nulling_reachable(sys: LtiSystem, k: int, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:

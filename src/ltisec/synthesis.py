@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import UndetectabilityCertificate, extension_verdict
 from .errors import (DimensionMismatch, HorizonTooShort, NoModes, NotExtensible, NotSynthesizable,
                      ThetaNotFeasible)
-from .model import AttackSequence, LtiSystem, SideInformation, _finite, obs_matrix, propagate
+from .model import AttackSequence, LtiSystem, SideInformation, _finite, propagate
 from .numlin import DEFAULT_TOL, Tol, feasible, rank_cut
 from .subspaces import _nulling_factors, weakly_unobservable
 
@@ -56,7 +56,7 @@ _IMAG_NOISE = 1e-12
 _MERGE_REL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroDynamicsMode:
     """A verified pencil null vector: frames a(k) = lambda^k g null the
     output when the initial state is shifted by theta."""
@@ -326,6 +326,18 @@ def zero_state_synthesize(
     return AttackSequence(arr)
 
 
+def _nulls_from(sys: LtiSystem, theta: np.ndarray, attack: AttackSequence, tol: Tol) -> bool:
+    """Whether the run from theta under the attack nulls the output.  Its
+    outputs O theta + M E are scaled as certification scales them, by the
+    output from rest M E, not by ||O theta||, which extension frames can
+    dwarf by orders of magnitude; where the frames null the output, the two
+    scales differ by at most the residual."""
+    y_theta, _ = propagate(sys, theta, attack)
+    y_rest, _ = propagate(sys, np.zeros(sys.n), attack)
+    res = float(np.linalg.norm(y_theta))
+    return np.isfinite(res) and feasible(res, float(np.linalg.norm(y_rest)), tol)
+
+
 def undetectable_from_theta(
     sys: LtiSystem,
     omega: SideInformation,
@@ -361,9 +373,7 @@ def undetectable_from_theta(
     frames = _nulling_frames(sys, theta, t, tol)
     if frames is not None:
         attack = AttackSequence(frames)
-        y, _ = propagate(sys, theta, attack)
-        res = float(np.linalg.norm(y))
-        if np.isfinite(res) and feasible(res, float(np.linalg.norm(obs_matrix(sys, t) @ theta)), tol):
+        if _nulls_from(sys, theta, attack, tol):
             return attack
     raise ThetaNotFeasible("no attack realizes this theta at the given horizon")
 
@@ -404,13 +414,6 @@ def extend_attack(
     tail = _nulling_frames(sys, verdict.test_vector, m, tol)
     if tail is not None:
         ext = AttackSequence(np.vstack([attack.frames, tail]))
-        # re-verify at the full horizon, scaled the same way certification
-        # is: against the output from rest M E, not against ||O theta|| (the
-        # attack frames can dwarf theta by orders of magnitude); the run from
-        # theta gives O theta + M E
-        y_rest, _ = propagate(sys, np.zeros(sys.n), ext)
-        y_theta, _ = propagate(sys, theta, ext)
-        full_res = float(np.linalg.norm(y_theta))
-        if np.isfinite(full_res) and feasible(full_res, float(np.linalg.norm(y_rest)), tol):
+        if _nulls_from(sys, theta, ext, tol):
             return ext
     raise NotExtensible("appended frames fail to keep the attack undetectable")

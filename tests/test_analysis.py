@@ -2,22 +2,31 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ltisec import (
     AttackSequence,
+    DetectorConfig,
+    DetectorSession,
     HorizonTooShort,
     LtiSystem,
     NonFinite,
     NotUndetectable,
     SideInformation,
+    ThetaNotFeasible,
     Tol,
     certify_undetectable,
     classify,
     extension_verdict,
     is_zero_state_inducing,
+    run_detector,
+    simulate,
     weakly_unobservable,
 )
+from ltisec.subspaces import _null_omega_meet_v
 from ltisec.synthesis import (
+    extend_attack,
     find_zero_dynamics_modes,
     undetectable_from_theta,
     zero_dynamics_attack,
@@ -27,6 +36,7 @@ from ltisec.synthesis import (
 from oracles import (
     SHAPES,
     extension_brute_oracle,
+    meet_has_margin,
     null_omega_meet_v,
     rand_shaped_system,
     rand_side,
@@ -180,7 +190,7 @@ def test_truncation_preserves_undetectability(rng):
         except Exception:
             continue
         assert certify_undetectable(sys, side, attack).undetectable
-        shorter = attack.truncated(sys.n)
+        shorter = AttackSequence(attack.frames[: sys.n + 1])
         assert certify_undetectable(sys, side, shorter).undetectable
         hits += 1
     assert hits >= 5
@@ -336,3 +346,98 @@ def test_attack_whose_norm_overflows_is_not_decided():
             is_zero_state_inducing(sys, attack)
         with pytest.raises(NonFinite):
             certify_undetectable(sys, SideInformation.none(2), attack)
+
+
+def _mixing(rng, q: int) -> np.ndarray:
+    """An invertible q x q matrix R with cond(R) <= 10 by construction: two
+    random orthogonal factors around singular values drawn from [1, 10]."""
+    u, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    w, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    return (u * rng.uniform(1.0, 10.0, q)) @ w.T
+
+
+def _attacks(rng, sys: LtiSystem, meet: np.ndarray, t: int) -> list[AttackSequence]:
+    """Random frames, and where the theta synthesis succeeds, attacks built
+    from a shift in ker(Omega) meet V and from a shift in V alone."""
+    attacks = [AttackSequence(rng.standard_normal((t + 1, sys.s)))]
+    v = weakly_unobservable(sys).basis
+    for basis in (meet, v):
+        if basis.shape[1]:
+            theta = basis @ rng.standard_normal(basis.shape[1])
+            try:
+                attacks.append(undetectable_from_theta(sys, SideInformation.none(sys.n), theta, t))
+            except ThetaNotFeasible:
+                pass
+    return attacks
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("mixed", "full")), seed=st.integers(0, 2**32 - 1))
+def test_mixing_the_rows_of_omega_changes_nothing(shape, kind, seed):
+    """Replacing Omega by R Omega, R invertible, keeps ker(Omega) meet V, so
+    dim ker(Omega) meet V, every certificate verdict and flag, and theta
+    (within 1e-8 relative) stay the same.
+
+    Margin rule: drop a draw when a rank decision behind ker(Omega) meet V,
+    for Omega or for R Omega, has a singular value in (1e-12, 1e-6] times
+    its scale (``oracles.meet_has_margin``)."""
+    rng = np.random.default_rng(seed)
+    sys, tol = rand_shaped_system(rng, shape), Tol()
+    omega = rand_side(rng, sys.n, kind).omega
+    mixed = _mixing(rng, omega.shape[0]) @ omega
+    v = weakly_unobservable(sys).basis
+    assume(meet_has_margin(omega, v) and meet_has_margin(mixed, v))
+    side, side_mixed = SideInformation(omega), SideInformation(mixed)
+    meet = _null_omega_meet_v(sys, side, tol)
+    assert _null_omega_meet_v(sys, side_mixed, tol).dim == meet.dim
+    for attack in _attacks(rng, sys, meet.basis, 2 * sys.n):
+        cert = certify_undetectable(sys, side, attack, tol)
+        again = certify_undetectable(sys, side_mixed, attack, tol)
+        assert (again.undetectable, again.theta_in_null_omega, again.theta_in_v) == (
+            cert.undetectable, cert.theta_in_null_omega, cert.theta_in_v)
+        if cert.undetectable:
+            theta = cert.induced_state
+            assert np.linalg.norm(again.induced_state - theta) <= 1e-8 * np.linalg.norm(theta)
+
+
+def test_equal_side_informations_share_the_kept_results(aircraft):
+    sys = LtiSystem(aircraft.system.a, aircraft.system.b, aircraft.system.c, aircraft.system.d)
+    sides = [SideInformation(aircraft.side.omega.copy()) for _ in range(2)]
+    for side in sides:
+        certify_undetectable(sys, side, aircraft.attack)
+        DetectorSession(sys, DetectorConfig(5, side), side.value_for(np.zeros(sys.n)))
+    kept = [key[0] for key in sys._factorizations]
+    assert kept.count("null_omega_v") == 1 and kept.count("detector") == 1
+
+
+def _read_only(m) -> np.ndarray:
+    m = np.array(m, dtype=float)
+    m.flags.writeable = False
+    return m
+
+
+def test_no_verdict_writes_into_its_inputs(aircraft, aircraft_mode):
+    """Each verdict gets read-only frames, theta, y_omega and outputs, so a
+    write into one raises; and every array it reads keeps its bytes."""
+    sys, side, no_side = aircraft.system, SideInformation(aircraft.side.omega), SideInformation.none(4)
+    frames = _read_only(zero_dynamics_attack(aircraft_mode, 30, 10.0).frames)
+    theta = _read_only(10.0 * aircraft_mode.theta.real)
+    attack = AttackSequence(frames)
+    cert = certify_undetectable(sys, no_side, attack)
+    assert cert.undetectable
+    outputs = _read_only(simulate(sys, np.ones(4), attack, side).outputs)
+    y_omega = _read_only(side.value_for(np.ones(4)))
+    inputs = [frames, theta, outputs, y_omega, attack.frames, cert.induced_state, side.omega]
+    before = [m.tobytes() for m in inputs]
+    certify_undetectable(sys, side, attack)
+    classify(sys, side, attack)
+    extension_verdict(sys, no_side, attack, cert)
+    extend_attack(sys, no_side, attack, cert, 40)
+    undetectable_from_theta(sys, no_side, theta, 30)
+    config = DetectorConfig(5, side)
+    run_detector(sys, config, y_omega, outputs)
+    session = DetectorSession(sys, config, y_omega)
+    for y in outputs:
+        session.push(y)
+    assert [m.tobytes() for m in inputs] == before

@@ -1,14 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import ltisec
 from ltisec import (
+    AttackClass,
     AttackSequence,
+    DetectorConfig,
     DimensionMismatch,
+    EpochDecision,
     LtiSystem,
     SideInformation,
     Tol,
     Trajectory,
+    ValidationReport,
+    aircraft_path,
+    certify_undetectable,
+    classify,
     ctrl_matrix,
+    extension_verdict,
+    load_scenario,
+    run_detector,
     io_matrix,
     markov_column,
     obs_matrix,
@@ -151,7 +164,7 @@ def test_simulate_unattacked_matches_obs_stack(rng):
     x0 = rng.standard_normal(sys.n)
     attack = AttackSequence.zeros(sys.s, 6)
     traj = simulate(sys, x0, attack, side)
-    assert np.allclose(traj.stacked, obs_matrix(sys, 6) @ x0, atol=1e-9)
+    assert np.allclose(traj.outputs.reshape(-1), obs_matrix(sys, 6) @ x0, atol=1e-9)
 
 
 def test_simulate_stacking_identity(rng):
@@ -164,7 +177,7 @@ def test_simulate_stacking_identity(rng):
         traj = simulate(sys, x0, attack, side)
         expect = obs_matrix(sys, t) @ x0 + io_matrix(sys, t) @ attack.stacked
         scale = max(1.0, np.linalg.norm(expect))
-        assert np.linalg.norm(traj.stacked - expect) <= 1e-9 * scale
+        assert np.linalg.norm(traj.outputs.reshape(-1) - expect) <= 1e-9 * scale
         assert np.allclose(traj.side_value, side.omega @ x0)
 
 
@@ -212,11 +225,10 @@ def test_attack_sequence_helpers():
     assert np.array_equal(a.stacked, [1.0, 0.0, 0.0, 2.0, 3.0, 0.0])
     assert not a.is_zero
     assert AttackSequence.zeros(2, 4).is_zero
-    b = AttackSequence.from_stacked(a.stacked, 2)
-    assert np.array_equal(b.frames, a.frames)
-    assert a.truncated(1).horizon_t == 1
+    assert np.array_equal(a.stacked.reshape(-1, a.s), a.frames)
+    assert AttackSequence(a.frames[:2]).horizon_t == 1
     with pytest.raises(DimensionMismatch):
-        AttackSequence.from_stacked(np.ones(5), 2)
+        AttackSequence(np.zeros((0, 2)))
 
 
 def _feedthrough_plant(n: int) -> LtiSystem:
@@ -240,7 +252,7 @@ def test_side_information_kernel():
 def test_trajectory_stacked():
     traj = Trajectory(outputs=np.array([[1.0, 2.0], [3.0, 4.0]]),
                       initial_state=np.zeros(2), side_value=np.zeros(1))
-    assert np.array_equal(traj.stacked, [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(traj.outputs.reshape(-1), [1.0, 2.0, 3.0, 4.0])
     assert traj.horizon_t == 1
 
 
@@ -327,3 +339,53 @@ def test_trajectory_holds_read_only_copies():
     for m in (traj.outputs, traj.initial_state, traj.side_value):
         with pytest.raises(ValueError):
             m[0] = np.nan
+
+
+def test_attack_sequence_holds_a_read_only_copy():
+    f = np.array([[1.0, 0.0], [0.0, 2.0]])
+    attack = AttackSequence(f)
+    f[:] = np.nan
+    assert np.array_equal(attack.frames, [[1.0, 0.0], [0.0, 2.0]])
+    for m in (attack.frames, attack.stacked):
+        with pytest.raises(ValueError):
+            m[0] = 3.0
+
+
+def test_side_information_compares_by_the_shape_and_bytes_of_omega():
+    om = np.array([[1.0, 2.0, 0.0, 0.0]])
+    side = SideInformation(om, Tol(residual_rel=1e-3))
+    # tol decides nothing, so it takes no part
+    assert side == SideInformation(om.copy()) and hash(side) == hash(SideInformation(om.copy()))
+    assert side != SideInformation(om.reshape(2, 2))
+    assert side != SideInformation(-om)
+    assert SideInformation.none(4) == SideInformation(np.zeros((1, 4)))
+    assert len({side, SideInformation(om.copy()), SideInformation.none(4)}) == 2
+
+
+def _one_of_each_record() -> dict:
+    """A fresh instance of every dataclass the package exports, keyed by type."""
+    sc = load_scenario(aircraft_path())
+    sys, side, attack = sc.system, sc.side, sc.attack
+    quiet = AttackSequence.zeros(sys.s, attack.horizon_t)
+    cert = certify_undetectable(sys, side, quiet)
+    traj = simulate(sys, np.zeros(sys.n), attack, side)
+    config = DetectorConfig(5, SideInformation(side.omega.copy()), Tol())
+    trace = run_detector(sys, config, traj.side_value, traj.outputs)
+    mode = find_zero_dynamics_modes(sys, lambda_hints=[0.9779])[0]
+    records = [sc, sys, side, attack, traj, validate(sys), Tol(), weakly_unobservable(sys), cert,
+               extension_verdict(sys, side, quiet, cert), classify(sys, side, attack), mode,
+               config, trace, trace.epochs[0]]
+    return {type(r): r for r in records}
+
+
+def test_no_record_raises_on_equality_or_hash():
+    # records that hold arrays compare by identity; the others by value
+    first, second = _one_of_each_record(), _one_of_each_record()
+    assert set(first) == {t for t in vars(ltisec).values()
+                          if isinstance(t, type) and dataclasses.is_dataclass(t)}
+    by_value = {SideInformation, DetectorConfig, Tol, ValidationReport, AttackClass, EpochDecision}
+    for kind, a in first.items():
+        b = second[kind]
+        assert a is not b and a == a and hash(a) == hash(a)
+        assert (a == b) == (kind in by_value), kind
+        assert a in [b, a] and len({a, b}) == (1 if kind in by_value else 2)
