@@ -231,7 +231,7 @@ def classify(
     """Stealth flags for one attack: detectability with and without side
     information, output invisibility, and geometric frame shape."""
     under_omega = certify_undetectable(sys, omega, attack, tol).undetectable
-    no_info = SideInformation.none(sys.n, tol)
+    no_info = SideInformation.none(sys.n)
     under_zero = certify_undetectable(sys, no_info, attack, tol).undetectable
     zs = is_zero_state_inducing(sys, attack, tol)
     form = _geometric_form(attack.frames, tol)

@@ -228,10 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LtisecError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (LtisecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
-from .model import LtiSystem, SideInformation, Trajectory, _memo, _obs_stack
+from .model import LtiSystem, SideInformation, Trajectory, _memo, obs_matrix
 from .numlin import DEFAULT_TOL, Tol, feasible, orth_columns
 
 __all__ = [
@@ -126,7 +126,7 @@ class DetectionTrace:
 
 def _range_bases(sys: LtiSystem, omega: np.ndarray, l: int, tol: Tol) -> tuple[np.ndarray, np.ndarray]:
     """Read-only orthonormal bases of the ranges of [Omega; O_{l-1}] and O_{l-1}."""
-    obs = _obs_stack(sys.a, sys.c, l - 1)
+    obs = obs_matrix(sys, l - 1)
     q_first = orth_columns(np.vstack([omega, obs]), tol)
     q_later = orth_columns(obs, tol)
     if q_later.dim < sys.n or q_first.dim < sys.n:

@@ -1,5 +1,20 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "LtisecError",
+    "NonFinite",
+    "DimensionMismatch",
+    "RankDeficient",
+    "HorizonTooShort",
+    "NotUndetectable",
+    "NoModes",
+    "NotSynthesizable",
+    "ThetaNotFeasible",
+    "NotExtensible",
+    "ParseError",
+    "AssumptionViolated",
+]
+
 
 class LtisecError(Exception):
     """Base class for all toolkit errors."""

@@ -130,16 +130,6 @@ class ValidationReport:
         return self.observable and self.bd_injective
 
 
-def _obs_stack(a: np.ndarray, c: np.ndarray, t: int) -> np.ndarray:
-    """[C; CA; ...; CA^t] without constructing matrix powers repeatedly."""
-    blocks = [c]
-    cur = c
-    for _ in range(t):
-        cur = cur @ a
-        blocks.append(cur)
-    return np.vstack(blocks)
-
-
 def validate(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> ValidationReport:
     """Check observability of (A, C) and injectivity of the stacked [B; D].
 
@@ -152,7 +142,7 @@ def validate(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> ValidationReport:
 
 
 def _validation(sys: LtiSystem, tol: Tol) -> ValidationReport:
-    obs = numerical_rank(_obs_stack(sys.a, sys.c, sys.n - 1), tol) == sys.n
+    obs = numerical_rank(obs_matrix(sys, max(sys.n - 1, 0)), tol) == sys.n
     inj = numerical_rank(np.vstack([sys.b, sys.d]), tol) == sys.s
     return ValidationReport(observable=obs, bd_injective=inj)
 
@@ -258,10 +248,13 @@ class Trajectory:
 
 
 def obs_matrix(sys: LtiSystem, t: int) -> np.ndarray:
-    """Extended observability matrix O_t, shape p(t+1) x n."""
+    """Extended observability matrix O_t = [C; CA; ...; CA^t], shape p(t+1) x n."""
     if t < 0:
         raise DimensionMismatch("horizon must be nonnegative")
-    return _obs_stack(sys.a, sys.c, t)
+    blocks = [sys.c]
+    for _ in range(t):
+        blocks.append(blocks[-1] @ sys.a)
+    return np.vstack(blocks)
 
 
 def markov_column(sys: LtiSystem, t: int) -> np.ndarray:

@@ -6,7 +6,7 @@ package ("does a vector exist such that ...") reduces to a call into this
 module, so the thresholding conventions live here and nowhere else:
 
 * rank decisions count singular values above ``rank_rel`` times the largest
-  singular value (``rank_cut``);
+  singular value (``above_cut`` is the mask, ``rank_cut`` its count);
 * linear systems are called feasible when the least-squares residual is at
   most ``residual_rel * max(1, ||rhs||)`` (``feasible``).
 """
@@ -126,14 +126,18 @@ class SubspaceBasis:
         return feasible(self.residual_outside(v), float(np.linalg.norm(v)), tol)
 
 
-def rank_cut(sv: np.ndarray, tol: Tol, scale_floor: float = 0.0) -> int:
-    """Number of singular values (given in descending order) above
-    ``rank_rel`` times the larger of the largest one and ``scale_floor``.
+def above_cut(values: np.ndarray, tol: Tol, scale_floor: float = 0.0) -> np.ndarray:
+    """Mask of the ``values`` above ``rank_rel`` times the larger of the
+    largest one and ``scale_floor``, in any order; NaN is never above.
 
-    An all-zero or empty spectrum has rank 0.
+    This is the one rank-cut rule: an all-zero or empty spectrum has none.
     """
-    smax = max(float(sv[0]), scale_floor) if sv.size else scale_floor
-    return int(np.sum(sv > tol.rank_rel * smax))
+    return values > tol.rank_rel * float(np.fmax.reduce(values, initial=scale_floor))
+
+
+def rank_cut(sv: np.ndarray, tol: Tol, scale_floor: float = 0.0) -> int:
+    """Number of singular values above the cut of ``above_cut``."""
+    return int(above_cut(sv, tol, scale_floor).sum())
 
 
 def numerical_rank(m, tol: Tol = DEFAULT_TOL) -> int:

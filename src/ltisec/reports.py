@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import certify_undetectable
 from .detector import Decision, DetectionTrace, DetectorConfig, run_detector
 from .errors import NoModes
-from .model import AttackSequence, LtiSystem, SideInformation, simulate, validate
+from .model import AttackSequence, SideInformation, simulate, validate
 from .numlin import Tol
 from .scenario import Scenario, aircraft_path, load_scenario
 from .subspaces import (_null_omega_meet_v, _nulling_factors, output_nulling_reachable,
@@ -188,7 +188,7 @@ def repro_aircraft(
     x0 = np.zeros(sys.n)
 
     side = scenario.side
-    no_side = SideInformation.none(sys.n, tol)
+    no_side = SideInformation.none(sys.n)
     cfg_side = DetectorConfig(window_len_l=window, omega=side, tol=tol)
     cfg_none = DetectorConfig(window_len_l=window, omega=no_side, tol=tol)
     # Omega changes only the side value, so each initial state is simulated

@@ -129,7 +129,7 @@ def load_scenario(path, tol: Tol = DEFAULT_TOL) -> Scenario:
         raise AssumptionViolated("observability: (A, C) is not an observable pair")
     if not report.bd_injective:
         raise AssumptionViolated("input injectivity: [B; D] loses column rank")
-    side = SideInformation(_matrix(raw["Omega"], q, n, "Omega"), tol)
+    side = SideInformation(_matrix(raw["Omega"], q, n, "Omega"))
     x0 = None if raw.get("x0") is None else _matrix(raw["x0"], n, 1, "x0")[:, 0]
     attack = None
     if raw.get("attack") is not None:

@@ -68,10 +68,6 @@ def _isa(sys: LtiSystem, tol: Tol) -> tuple[tuple[SubspaceBasis, ...], tuple]:
     return tuple(seq), tuple(factors)
 
 
-def _kept(sys: LtiSystem, tol: Tol) -> tuple[tuple[SubspaceBasis, ...], tuple]:
-    return _memo(sys, ("isa", tol), lambda: _isa(sys, tol))
-
-
 def weakly_unobservable_iterates(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> list[SubspaceBasis]:
     """The decreasing sequence of iterates, starting at the full space.
 
@@ -80,12 +76,12 @@ def weakly_unobservable_iterates(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> list
     last entry is the fixed point.  It runs once per (system, ``tol``); each
     call returns a new list of the kept iterates, whose bases are read-only.
     """
-    return list(_kept(sys, tol)[0])
+    return list(_memo(sys, ("isa", tol), lambda: _isa(sys, tol))[0])
 
 
 def _nulling_factors(sys: LtiSystem, tol: Tol) -> tuple:
     """The read-only nulling factor (G_i, N_i) of each iterate V_i; see ``_isa``."""
-    return _kept(sys, tol)[1]
+    return _memo(sys, ("isa", tol), lambda: _isa(sys, tol))[1]
 
 
 def weakly_unobservable(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:

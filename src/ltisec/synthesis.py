@@ -25,7 +25,7 @@ from .analysis import UndetectabilityCertificate, extension_verdict
 from .errors import (DimensionMismatch, HorizonTooShort, NoModes, NotExtensible, NotSynthesizable,
                      ThetaNotFeasible)
 from .model import AttackSequence, LtiSystem, SideInformation, _finite, propagate
-from .numlin import DEFAULT_TOL, Tol, feasible, rank_cut
+from .numlin import DEFAULT_TOL, Tol, above_cut, feasible, rank_cut
 from .subspaces import _nulling_factors, weakly_unobservable
 
 __all__ = [
@@ -132,7 +132,7 @@ def _scanned_modes(sys: LtiSystem, lams: list[complex], basis: np.ndarray, gain:
     lam = np.array(lams, dtype=complex)
     mu, x = np.linalg.eig(abar)
     gap = np.abs(lam[:, None] - mu).min(axis=1)
-    svd_at = np.argsort(np.argsort(-gap)) >= rank_cut(-np.sort(-gap), tol, float(np.linalg.norm(abar)))
+    svd_at = ~above_cut(gap, tol, float(np.linalg.norm(abar)))
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             y = np.linalg.solve(x, basis.T @ sys.b @ null)

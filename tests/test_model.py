@@ -1,4 +1,7 @@
 import dataclasses
+import importlib
+import pkgutil
+import types
 
 import numpy as np
 import pytest
@@ -389,3 +392,20 @@ def test_no_record_raises_on_equality_or_hash():
         assert a is not b and a == a and hash(a) == hash(a)
         assert (a == b) == (kind in by_value), kind
         assert a in [b, a] and len({a, b}) == (1 if kind in by_value else 2)
+
+
+def test_package_exports_each_module_all():
+    # each public name is declared once, in its module's __all__; the package
+    # re-exports every module but the command-line front end
+    library = ["analysis", "detector", "errors", "model", "numlin", "scenario", "subspaces",
+               "synthesis"]
+    found = {m.name for m in pkgutil.iter_modules(ltisec.__path__)}
+    assert found - set(library) == {"cli", "reports"}
+    declared = set()
+    for module in (importlib.import_module(f"ltisec.{name}") for name in library):
+        assert hasattr(module, "__all__"), module.__name__
+        assert all(hasattr(module, name) for name in module.__all__), module.__name__
+        declared |= set(module.__all__)
+    public = {name for name, v in vars(ltisec).items()
+              if not name.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == declared

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from ltisec import (
     projector,
     solve_min_norm,
 )
-from ltisec.numlin import rank_cut
+from ltisec.numlin import above_cut, rank_cut
 
 
 def test_rank_identity():
@@ -275,6 +277,30 @@ def test_contains_is_feasible_of_residual_outside(head, ratio):
 )
 def test_rank_cut(sv, rank_rel, floor, want):
     assert rank_cut(sv, Tol(rank_rel=rank_rel), floor) == want
+
+
+def _argsort_cut(values, tol, floor):
+    """The mode search's former rule, kept as the reference: rank the values
+    by a double argsort and keep those placed before the rank cut of the
+    descending spectrum."""
+    sv = -np.sort(-values)
+    smax = max(float(sv[0]), floor) if sv.size else floor
+    return np.argsort(np.argsort(-values)) < int(np.sum(sv > tol.rank_rel * smax))
+
+
+def test_above_cut_is_the_rank_cut():
+    rng = np.random.default_rng(7)
+    # ties, zeros and values exactly at the cut 0.25 * 2.0 among random ones
+    pool = np.array([0.0, 0.0, 1e-12, 1e-11, 0.5, 0.5, 2.0, 2.0])
+    spectra = [np.zeros(0), np.zeros(4)]
+    for size in rng.integers(1, 9, 40):
+        spectra.append(np.where(rng.random(size) < 0.6, rng.choice(pool, size), rng.random(size) * 4.0))
+    for values, tol in itertools.product(spectra, (Tol(), Tol(rank_rel=0.25))):
+        for floor in (0.0, 1.0, 8.0):
+            mask = above_cut(values, tol, floor)
+            assert mask.dtype == bool and mask.shape == values.shape
+            assert rank_cut(-np.sort(-values), tol, floor) == mask.sum()
+            assert mask.tolist() == _argsort_cut(values, tol, floor).tolist()
 
 
 @pytest.mark.parametrize(
