@@ -16,6 +16,11 @@ Every product with M_T or C_T is a run of the state recursion
 (``model.propagate``): M_T E(T) is the output from rest, and the state the
 attack leaves behind is the final state of a run from theta.  Certification
 therefore costs O(T) time and memory.
+
+``classify`` answers its three questions from one run from rest and one
+O_T: both certificates and the zero-state decision are the private rules
+that ``certify_undetectable`` and ``is_zero_state_inducing`` call, so its
+flags equal those verdicts by construction.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .model import (
     AttackSequence,
     LtiSystem,
     SideInformation,
-    markov_column,
+    _markov_from_obs,
     obs_matrix,
     propagate,
 )
@@ -94,15 +99,35 @@ def certify_undetectable(
     HorizonTooShort
         If the attack horizon is below n - 1.
     """
-    n = sys.n
-    if attack.horizon_t < n - 1:
-        raise HorizonTooShort(
-            f"horizon {attack.horizon_t} < {n - 1}; undetectability needs T >= n-1"
-        )
+    _require_horizon(sys, attack)
     if attack.is_zero:
-        return UndetectabilityCertificate(True, np.zeros(n), 0.0, True, True)
-    t = attack.horizon_t
-    y_rest, _ = propagate(sys, np.zeros(n), attack)
+        return UndetectabilityCertificate(True, np.zeros(sys.n), 0.0, True, True)
+    return _certificate(sys, omega, _from_rest(sys, attack), None, tol)
+
+
+def _require_horizon(sys: LtiSystem, attack: AttackSequence) -> None:
+    if attack.horizon_t < sys.n - 1:
+        raise HorizonTooShort(
+            f"horizon {attack.horizon_t} < {sys.n - 1}; undetectability needs T >= n-1"
+        )
+
+
+def _from_rest(sys: LtiSystem, attack: AttackSequence) -> np.ndarray:
+    """M_T E(T): the outputs of the run from rest, one row per step."""
+    return propagate(sys, np.zeros(sys.n), attack)[0]
+
+
+def _certificate(
+    sys: LtiSystem,
+    omega: SideInformation,
+    y_rest: np.ndarray,
+    ot: np.ndarray | None,
+    tol: Tol,
+) -> UndetectabilityCertificate:
+    """The certificate for the attack whose output from rest is ``y_rest``.
+    ``ot`` is O_T if the caller holds it; otherwise O_T is built here, and
+    only when ker(Omega) [intersect] V is not {0}."""
+    n = sys.n
     rhs = -y_rest.reshape(-1)
     rhs_norm = float(np.linalg.norm(rhs))
     cands = _null_omega_meet_v(sys, omega, tol)
@@ -112,8 +137,9 @@ def certify_undetectable(
         theta = np.zeros(n)
         residual = rhs_norm
     else:
-        ot = obs_matrix(sys, t) @ cands.basis
-        xi, residual = solve_min_norm(ot, rhs, tol)
+        if ot is None:
+            ot = obs_matrix(sys, y_rest.shape[0] - 1)
+        xi, residual = solve_min_norm(ot @ cands.basis, rhs, tol)
         theta = cands.basis @ xi
     und = feasible(residual, rhs_norm, tol)
     in_null = feasible(
@@ -136,16 +162,25 @@ def is_zero_state_inducing(
 
     The output from rest, M_T E(T), is thresholded against
     ``residual_rel * max(1, ||E(T)|| * ||h_T||_2)``, where
-    h_T = [D; CB; ...; CA^{T-1}B] is the first block column of M_T.  Every
-    block column of M_T is a truncated shift of h_T, so
+    h_T = [D; CB; ...; CA^{T-1}B] is the first block column of M_T, read
+    from O_T as h_T = [D; O_{T-1} B].  Every block column of M_T is a
+    truncated shift of h_T, so
 
         ||h_T||_2 <= ||M_T||_2 <= sqrt(T+1) * ||h_T||_2,
 
     and the scale is never looser than ``||E(T)|| * ||M_T||_2`` and at most
     sqrt(T+1) times tighter.  It costs O(T) instead of an SVD of M_T.
     """
-    y_rest, _ = propagate(sys, np.zeros(sys.n), attack)
-    h = markov_column(sys, attack.horizon_t)
+    y_rest = _from_rest(sys, attack)
+    return _zero_state(sys, attack, y_rest, obs_matrix(sys, attack.horizon_t), tol)
+
+
+def _zero_state(
+    sys: LtiSystem, attack: AttackSequence, y_rest: np.ndarray, ot: np.ndarray, tol: Tol
+) -> bool:
+    """The zero-state rule of ``is_zero_state_inducing``, given the output
+    from rest and O_T."""
+    h = _markov_from_obs(sys, ot)
     scale = float(np.linalg.norm(attack.stacked)) * float(np.linalg.norm(h, 2))
     return feasible(float(np.linalg.norm(y_rest)), scale, tol)
 
@@ -229,15 +264,23 @@ def classify(
     tol: Tol = DEFAULT_TOL,
 ) -> AttackClass:
     """Stealth flags for one attack: detectability with and without side
-    information, output invisibility, and geometric frame shape."""
-    under_omega = certify_undetectable(sys, omega, attack, tol).undetectable
+    information, output invisibility, and geometric frame shape.
+
+    One run from rest and one O_T serve all three verdicts; each flag is
+    the one ``certify_undetectable`` or ``is_zero_state_inducing`` gives.
+
+    Raises
+    ------
+    HorizonTooShort
+        If the attack horizon is below n - 1.
+    """
+    _require_horizon(sys, attack)
+    y_rest = _from_rest(sys, attack)
+    ot = obs_matrix(sys, attack.horizon_t)
     no_info = SideInformation.none(sys.n)
-    under_zero = certify_undetectable(sys, no_info, attack, tol).undetectable
-    zs = is_zero_state_inducing(sys, attack, tol)
-    form = _geometric_form(attack.frames, tol)
     return AttackClass(
-        undetectable_under_omega=under_omega,
-        undetectable_under_zero_omega=under_zero,
-        zero_state_inducing=zs,
-        zero_dynamics_form=form,
+        undetectable_under_omega=_certificate(sys, omega, y_rest, ot, tol).undetectable,
+        undetectable_under_zero_omega=_certificate(sys, no_info, y_rest, ot, tol).undetectable,
+        zero_state_inducing=_zero_state(sys, attack, y_rest, ot, tol),
+        zero_dynamics_form=_geometric_form(attack.frames, tol),
     )

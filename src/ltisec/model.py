@@ -260,14 +260,13 @@ def obs_matrix(sys: LtiSystem, t: int) -> np.ndarray:
 def markov_column(sys: LtiSystem, t: int) -> np.ndarray:
     """First block column h_t = [D; CB; CAB; ...; CA^{t-1}B] of M_t,
     shape p(t+1) x s."""
-    if t < 0:
-        raise DimensionMismatch("horizon must be nonnegative")
-    blocks = [sys.d]
-    cab = sys.b
-    for _ in range(t):
-        blocks.append(sys.c @ cab)
-        cab = sys.a @ cab
-    return np.vstack(blocks)
+    return _markov_from_obs(sys, obs_matrix(sys, t))
+
+
+def _markov_from_obs(sys: LtiSystem, ot: np.ndarray) -> np.ndarray:
+    """h_t = [D; O_{t-1} B], read from O_t (its last block is unused): one
+    product, so every C A^k is built by ``obs_matrix`` alone."""
+    return np.vstack([sys.d, ot[: -sys.p] @ sys.b])
 
 
 def io_matrix(sys: LtiSystem, t: int) -> np.ndarray:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ltisec.analysis
+import ltisec.model
 from ltisec import (
     AttackSequence,
     DetectorConfig,
@@ -12,6 +14,7 @@ from ltisec import (
     HorizonTooShort,
     LtiSystem,
     NonFinite,
+    NotSynthesizable,
     NotUndetectable,
     SideInformation,
     ThetaNotFeasible,
@@ -399,6 +402,79 @@ def test_mixing_the_rows_of_omega_changes_nothing(shape, kind, seed):
         if cert.undetectable:
             theta = cert.induced_state
             assert np.linalg.norm(again.induced_state - theta) <= 1e-8 * np.linalg.norm(theta)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("mixed", "full")), seed=st.integers(0, 2**32 - 1))
+def test_classify_is_the_three_verdicts(shape, kind, seed):
+    """``classify``'s flags are exactly the verdicts of
+    ``certify_undetectable`` under Omega and under no side information and
+    of ``is_zero_state_inducing``, on random frames, attacks from a shift in
+    ker(Omega) meet V and in V, a zero-state attack where one exists and the
+    zero attack; below T = n - 1 both raise ``HorizonTooShort``.
+
+    Margin rule: drop a draw when a rank decision behind ker(Omega) meet V
+    has a singular value in (1e-12, 1e-6] times its scale
+    (``oracles.meet_has_margin``)."""
+    rng = np.random.default_rng(seed)
+    sys, tol = rand_shaped_system(rng, shape), Tol()
+    side = rand_side(rng, sys.n, kind)
+    assume(meet_has_margin(side.omega, weakly_unobservable(sys).basis))
+    t = int(rng.integers(sys.n - 1, 2 * sys.n + 1))
+    attacks = _attacks(rng, sys, _null_omega_meet_v(sys, side, tol).basis, t)
+    attacks.append(AttackSequence.zeros(sys.s, t))
+    try:
+        attacks.append(zero_state_synthesize(sys, t, tol))
+    except NotSynthesizable:
+        pass
+    no_info = SideInformation.none(sys.n)
+    for attack in attacks:
+        cls = classify(sys, side, attack, tol)
+        assert (cls.undetectable_under_omega, cls.undetectable_under_zero_omega,
+                cls.zero_state_inducing) == (
+            certify_undetectable(sys, side, attack, tol).undetectable,
+            certify_undetectable(sys, no_info, attack, tol).undetectable,
+            is_zero_state_inducing(sys, attack, tol))
+    short = AttackSequence(rng.standard_normal((sys.n - 1, sys.s)))
+    with pytest.raises(HorizonTooShort):
+        certify_undetectable(sys, side, short, tol)
+    with pytest.raises(HorizonTooShort):
+        classify(sys, side, short, tol)
+
+
+def test_classify_runs_from_rest_once(monkeypatch, aircraft, aircraft_mode):
+    """One classify makes one run from rest and builds O_T once; h_T is
+    read from that O_T, not built again by ``markov_column``."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ltisec.analysis, "propagate", counted("propagate", ltisec.model.propagate))
+    monkeypatch.setattr(ltisec.analysis, "obs_matrix", counted("obs_matrix", ltisec.model.obs_matrix))
+    monkeypatch.setattr(ltisec.model, "markov_column", counted("markov_column", ltisec.model.markov_column))
+    attack = zero_dynamics_attack(aircraft_mode, 30, 10.0)
+    cls = classify(aircraft.system, aircraft.side, attack)
+    assert sorted(calls) == ["obs_matrix", "propagate"]
+    assert cls.undetectable_under_zero_omega and not cls.undetectable_under_omega
+
+
+@pytest.mark.xfail(strict=True, reason="a run from rest is decided against two scales: "
+                   "the certificate's max(1, ||M_T E||) and the zero-state rule's "
+                   "max(1, ||E|| ||h_T||_2)")
+def test_zero_state_attack_is_undetectable_at_every_scale(aircraft_sys):
+    """The paper's third result: a zero-state inducing attack is
+    undetectable under every Omega.  At scale 1e10 on the aircraft the
+    rounding of the output from rest, about 5e-7, passes the certificate's
+    absolute threshold while the zero-state rule still holds."""
+    attack = zero_state_synthesize(aircraft_sys, 30, scale=1e10)
+    cls = classify(aircraft_sys, SideInformation(np.eye(4)), attack)
+    assert cls.zero_state_inducing
+    assert cls.undetectable_under_omega and cls.undetectable_under_zero_omega
 
 
 def test_equal_side_informations_share_the_kept_results(aircraft):
