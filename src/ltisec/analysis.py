@@ -35,6 +35,7 @@ from .model import (
     LtiSystem,
     SideInformation,
     _markov_from_obs,
+    _same_state,
     obs_matrix,
     propagate,
 )
@@ -98,8 +99,11 @@ def certify_undetectable(
     ------
     HorizonTooShort
         If the attack horizon is below n - 1.
+    DimensionMismatch
+        If Omega does not have n columns, the zero attack included.
     """
     _require_horizon(sys, attack)
+    _same_state(sys, omega)
     if attack.is_zero:
         return UndetectabilityCertificate(True, np.zeros(sys.n), 0.0, True, True)
     return _certificate(sys, omega, _from_rest(sys, attack), None, tol)
@@ -117,6 +121,7 @@ def _from_rest(sys: LtiSystem, attack: AttackSequence) -> np.ndarray:
     return propagate(sys, np.zeros(sys.n), attack)[0]
 
 
+@np.errstate(over="ignore")  # an overflowed norm raises NonFinite in feasible
 def _certificate(
     sys: LtiSystem,
     omega: SideInformation,
@@ -142,9 +147,8 @@ def _certificate(
         xi, residual = solve_min_norm(ot @ cands.basis, rhs, tol)
         theta = cands.basis @ xi
     und = feasible(residual, rhs_norm, tol)
-    in_null = feasible(
-        float(np.linalg.norm(omega.omega @ theta)), float(np.linalg.norm(theta)), tol
-    )
+    in_null = feasible(float(np.linalg.norm(omega.omega @ theta)),
+                       float(np.linalg.norm(theta)), tol)
     in_v = weakly_unobservable(sys, tol).contains(theta, tol)
     return UndetectabilityCertificate(
         undetectable=und,
@@ -175,6 +179,7 @@ def is_zero_state_inducing(
     return _zero_state(sys, attack, y_rest, obs_matrix(sys, attack.horizon_t), tol)
 
 
+@np.errstate(over="ignore")  # an overflowed norm raises NonFinite in feasible
 def _zero_state(
     sys: LtiSystem, attack: AttackSequence, y_rest: np.ndarray, ot: np.ndarray, tol: Tol
 ) -> bool:
@@ -208,7 +213,10 @@ def extension_verdict(
     ------
     NotUndetectable
         If the certificate reports a detectable attack.
+    DimensionMismatch
+        If Omega does not have n columns.
     """
+    _same_state(sys, omega)
     if not cert.undetectable:
         raise NotUndetectable("extension analysis applies to undetectable attacks only")
     theta = cert.induced_state

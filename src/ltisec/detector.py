@@ -36,8 +36,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
-from .model import LtiSystem, SideInformation, Trajectory, _memo, obs_matrix
-from .numlin import DEFAULT_TOL, Tol, feasible, orth_columns
+from .model import LtiSystem, SideInformation, Trajectory, _memo, _same_state, obs_matrix
+from .numlin import DEFAULT_TOL, Tol, _finite, _frozen, feasible, orth_columns
 
 __all__ = [
     "Decision",
@@ -103,10 +103,9 @@ class DetectionTrace:
 
     def __post_init__(self) -> None:
         for name, dtype in zip(("k", "attack", "residual", "window_norm"), (int, bool, float, float)):
-            column = np.array(getattr(self, name), dtype=dtype)
+            column = _frozen(getattr(self, name), dtype)
             if column.ndim != 1 or len(column) != len(self.k):
                 raise DimensionMismatch(f"trace column {name} has shape {column.shape}")
-            column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     @property
@@ -131,8 +130,6 @@ def _range_bases(sys: LtiSystem, omega: np.ndarray, l: int, tol: Tol) -> tuple[n
     q_later = orth_columns(obs, tol)
     if q_later.dim < sys.n or q_first.dim < sys.n:
         raise RankDeficient("observability stack lost column rank; detector tests are ill-posed")
-    q_first.basis.flags.writeable = False
-    q_later.basis.flags.writeable = False
     return q_first.basis, q_later.basis
 
 
@@ -140,16 +137,13 @@ def _prepared(sys: LtiSystem, config: DetectorConfig,
               y_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kept bases of [Omega; O_{l-1}] and O_{l-1}, and y_omega as a
     checked vector: what both detector paths start from."""
-    if config.omega.n != sys.n:
-        raise DimensionMismatch(f"Omega has {config.omega.n} columns, state dim is {sys.n}")
+    _same_state(sys, config.omega)
     q_first, q_later = _memo(sys, ("detector", config), lambda: _range_bases(
         sys, config.omega.omega, config.window_len_l, config.tol))
     y_omega = np.asarray(y_omega, float).reshape(-1)
     if y_omega.shape[0] != config.omega.q:
         raise DimensionMismatch(f"y_omega has length {y_omega.shape[0]}, expected {config.omega.q}")
-    if not np.all(np.isfinite(y_omega)):
-        raise NonFinite("y_omega contains NaN or infinite entries")
-    return q_first, q_later, y_omega
+    return q_first, q_later, _finite("y_omega", y_omega)
 
 
 class DetectorSession:

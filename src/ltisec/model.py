@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, NonFinite
-from .numlin import DEFAULT_TOL, Tol, numerical_rank
+from .errors import DimensionMismatch
+from .numlin import DEFAULT_TOL, Tol, _finite, _frozen, numerical_rank
 
 __all__ = [
     "LtiSystem",
@@ -51,13 +51,6 @@ __all__ = [
 ]
 
 
-def _finite(name: str, m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.size and not np.all(np.isfinite(m)):
-        raise NonFinite(f"{name} contains NaN or infinite entries")
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class LtiSystem:
     """The quadruple (A, B, C, D) with dimension accessors n, p, s, held as
@@ -72,10 +65,7 @@ class LtiSystem:
     d: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.atleast_2d(_finite("A", self.a))
-        b = np.atleast_2d(_finite("B", self.b))
-        c = np.atleast_2d(_finite("C", self.c))
-        d = np.atleast_2d(_finite("D", self.d))
+        a, b, c, d = (np.atleast_2d(_finite(k, getattr(self, k.lower()))) for k in "ABCD")
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"A must be square, got {a.shape}")
         n = a.shape[0]
@@ -84,13 +74,9 @@ class LtiSystem:
         if c.shape[1] != n:
             raise DimensionMismatch(f"C must have {n} columns, got {c.shape}")
         if d.shape != (c.shape[0], b.shape[1]):
-            raise DimensionMismatch(
-                f"D must be {c.shape[0]}x{b.shape[1]}, got {d.shape}"
-            )
-        for name, m in zip("abcd", (a, b, c, d)):
-            m = np.array(m)  # a private copy, so the factorizations kept below hold
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
+            raise DimensionMismatch(f"D must be {c.shape[0]}x{b.shape[1]}, got {d.shape}")
+        for name, m in zip("abcd", (a, b, c, d)):  # private copies keep the factorizations below valid
+            object.__setattr__(self, name, _frozen(m))
         # key -> read-only factorizations of this plant; see _memo
         object.__setattr__(self, "_factorizations", {})
 
@@ -165,8 +151,7 @@ class SideInformation:
     _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        om = np.array(np.atleast_2d(_finite("Omega", self.omega)))
-        om.flags.writeable = False
+        om = _frozen(np.atleast_2d(_finite("Omega", self.omega)))
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "_key", (om.shape, om.tobytes()))
 
@@ -187,6 +172,12 @@ class SideInformation:
         return self.omega @ np.asarray(x0, dtype=float)
 
 
+def _same_state(sys: LtiSystem, side: SideInformation) -> None:
+    """``DimensionMismatch`` unless Omega has one column per state of ``sys``."""
+    if side.n != sys.n:
+        raise DimensionMismatch(f"Omega has {side.n} columns, state dim is {sys.n}")
+
+
 @dataclass(frozen=True, eq=False)
 class AttackSequence:
     """Attack frames a(0..T), held row-per-frame as a read-only (T+1) x s
@@ -195,10 +186,9 @@ class AttackSequence:
     frames: np.ndarray
 
     def __post_init__(self) -> None:
-        f = np.array(np.atleast_2d(_finite("attack frames", self.frames)))
+        f = _frozen(np.atleast_2d(_finite("attack frames", self.frames)))
         if f.shape[0] == 0:
             raise DimensionMismatch("an attack needs at least one frame")
-        f.flags.writeable = False
         object.__setattr__(self, "frames", f)
 
     @classmethod
@@ -233,14 +223,9 @@ class Trajectory:
     side_value: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, m in (
-            ("outputs", np.atleast_2d(_finite("outputs", self.outputs))),
-            ("initial_state", _finite("x0", self.initial_state).reshape(-1)),
-            ("side_value", _finite("y_omega", self.side_value).reshape(-1)),
-        ):
-            m = np.array(m)
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
+        object.__setattr__(self, "outputs", _frozen(np.atleast_2d(_finite("outputs", self.outputs))))
+        object.__setattr__(self, "initial_state", _frozen(_finite("x0", self.initial_state).reshape(-1)))
+        object.__setattr__(self, "side_value", _frozen(_finite("y_omega", self.side_value).reshape(-1)))
 
     @property
     def horizon_t(self) -> int:
@@ -336,9 +321,6 @@ def simulate(
 ) -> Trajectory:
     """Run the state recursion and record outputs and side information."""
     x = _finite("x0", x0).reshape(-1)
-    if omega.n != sys.n:
-        raise DimensionMismatch(
-            f"Omega has {omega.n} columns, system state dim is {sys.n}"
-        )
+    _same_state(sys, omega)
     ys, _ = propagate(sys, x, attack)
     return Trajectory(outputs=ys, initial_state=x, side_value=omega.value_for(x))

@@ -9,6 +9,10 @@ module, so the thresholding conventions live here and nowhere else:
   singular value (``above_cut`` is the mask, ``rank_cut`` its count);
 * linear systems are called feasible when the least-squares residual is at
   most ``residual_rel * max(1, ||rhs||)`` (``feasible``).
+
+The package's boundary rules live here too: ``_finite`` rejects NaN and
+infinite entries, and ``_frozen`` takes the read-only copy that every record
+and every kept result holds.
 """
 
 from __future__ import annotations
@@ -58,18 +62,32 @@ class Tol:
 DEFAULT_TOL = Tol()
 
 
+def _finite(name: str, m) -> np.ndarray:
+    """``m`` as a float array, or ``NonFinite`` if it holds NaN or infinity."""
+    m = np.asarray(m, dtype=float)
+    if m.size and not np.all(np.isfinite(m)):
+        raise NonFinite(f"{name} contains NaN or infinite entries")
+    return m
+
+
+def _frozen(m, dtype=float) -> np.ndarray:
+    """A read-only C-ordered copy of ``m``: no write by the caller reaches it,
+    and no product read from it depends on the caller's memory layout."""
+    m = np.array(m, dtype=dtype, order="C")
+    m.flags.writeable = False
+    return m
+
+
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.atleast_2d(np.asarray(m, dtype=float))
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be two-dimensional, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise NonFinite(f"{name} contains NaN or infinite entries")
-    return a
+    return _finite(name, a)
 
 
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """A subspace of real coordinate space, stored as an orthonormal basis.
+    """A subspace of real coordinate space, held as a read-only orthonormal basis.
 
     Attributes
     ----------
@@ -84,7 +102,7 @@ class SubspaceBasis:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.basis, dtype=float)
+        b = _frozen(self.basis)
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise DimensionMismatch(
                 f"basis shape {b.shape} does not match ambient dim {self.ambient_dim}"
@@ -179,7 +197,7 @@ def null_space(m, tol: Tol = DEFAULT_TOL, scale_floor: float = 0.0) -> SubspaceB
     if not a.any():
         return SubspaceBasis.full(cols)
     _, sv, vh = np.linalg.svd(a)
-    return SubspaceBasis(cols, vh[rank_cut(sv, tol, scale_floor):].T.copy())
+    return SubspaceBasis(cols, vh[rank_cut(sv, tol, scale_floor):].T)
 
 
 def orth_columns(m, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:
@@ -188,7 +206,7 @@ def orth_columns(m, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:
     if a.shape[1] == 0:
         return SubspaceBasis.zero(a.shape[0])
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
-    return SubspaceBasis(a.shape[0], u[:, :rank_cut(sv, tol)].copy())
+    return SubspaceBasis(a.shape[0], u[:, :rank_cut(sv, tol)])
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis, tol: Tol = DEFAULT_TOL) -> SubspaceBasis:
@@ -253,9 +271,7 @@ def solve_min_norm(m, rhs, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, float]:
         empty solution and residual ``||rhs||``.
     """
     a = _as_matrix(m)
-    r = np.asarray(rhs, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(r)):
-        raise NonFinite("right-hand side contains NaN or infinite entries")
+    r = _finite("right-hand side", rhs).reshape(-1)
     if a.shape[0] != r.shape[0]:
         raise DimensionMismatch(f"matrix rows {a.shape[0]} != rhs length {r.shape[0]}")
     if a.shape[1] == 0:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import AssumptionViolated, DimensionMismatch, NonFinite, ParseError
 from .model import AttackSequence, LtiSystem, SideInformation, Trajectory, validate
-from .numlin import DEFAULT_TOL, Tol
+from .numlin import DEFAULT_TOL, Tol, _finite
 
 __all__ = [
     "Scenario",
@@ -61,9 +61,7 @@ def _matrix(raw, rows: int, cols: int, name: str) -> np.ndarray:
         arr = arr.reshape(rows, cols)
     if arr.shape != (rows, cols):
         raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {(rows, cols)}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite(f"{name} contains NaN or infinite entries")
-    return arr
+    return _finite(name, arr)
 
 
 def _integer(value, name: str) -> int:

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .model import LtiSystem, SideInformation, _memo
-from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, null_space, orth_columns, rank_cut
+from .model import LtiSystem, SideInformation, _memo, _same_state
+from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, _frozen, null_space, orth_columns, rank_cut
 
 __all__ = [
     "weakly_unobservable",
@@ -41,14 +40,16 @@ __all__ = [
 
 
 def _isa(sys: LtiSystem, tol: Tol) -> tuple[tuple[SubspaceBasis, ...], tuple]:
-    """The iterates V_0 = R^n, V_1, ... and the nulling factor of each.
+    """The iterates V_0 = R^n, V_1, ... and one read-only nulling factor per
+    iterate.
 
     With R = I - V_i V_i^T, one SVD [D; RB] = U S W^T of rank k gives the
     inputs u = G_i x + N_i z that null Cx + Du and put Ax + Bu in V_i:
     G_i = -W_k S_k^-1 U_k^T [C; RA] and N_i = W_{k:}; and it gives
     V_{i+1} = ker U_{k:}^T [C; RA].  R is a projector, so the cuts are
     anchored at ||[B; D]||_2 and ||[C; A]||_2, never at rounding noise.  The
-    last two iterates are one subspace and share one factor.
+    last two iterates are one subspace, the fixed point V, which shares the
+    factor of the iterate before it, the last one kept.
     """
     bd_norm = float(np.linalg.norm(np.vstack([sys.b, sys.d]), 2))
     ca_norm = float(np.linalg.norm(np.vstack([sys.c, sys.a]), 2))
@@ -58,13 +59,12 @@ def _isa(sys: LtiSystem, tol: Tol) -> tuple[tuple[SubspaceBasis, ...], tuple]:
         rhs = np.vstack([sys.c, r @ sys.a])
         u, sv, wh = np.linalg.svd(np.vstack([sys.d, r @ sys.b]))
         k = rank_cut(sv, tol, bd_norm)
-        factors.append((-wh[:k].T @ ((u[:, :k].T @ rhs) / sv[:k, None]), wh[k:].T))
+        gain = -wh[:k].T @ ((u[:, :k].T @ rhs) / sv[:k, None])
+        # N_i is frozen as rows of W^T, so products read from it keep their bits
+        factors.append((_frozen(gain), _frozen(wh[k:]).T))
         seq.append(null_space(u[:, k:].T @ rhs, tol, ca_norm))
         if seq[-1].dim == seq[-2].dim:
             break
-    factors.append(factors[-1])
-    for m in [v.basis for v in seq] + [m for f in factors for m in f]:
-        m.flags.writeable = False
     return tuple(seq), tuple(factors)
 
 
@@ -80,7 +80,8 @@ def weakly_unobservable_iterates(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> list
 
 
 def _nulling_factors(sys: LtiSystem, tol: Tol) -> tuple:
-    """The read-only nulling factor (G_i, N_i) of each iterate V_i; see ``_isa``."""
+    """The read-only nulling factor (G_i, N_i), one per iterate V_i; the fixed
+    point V shares the last, that of the iterate before it.  See ``_isa``."""
     return _memo(sys, ("isa", tol), lambda: _isa(sys, tol))[1]
 
 
@@ -102,15 +103,12 @@ def _null_omega_meet_v(sys: LtiSystem, side: SideInformation, tol: Tol) -> Subsp
     DimensionMismatch
         If Omega does not have n columns.
     """
-    if side.n != sys.n:
-        raise DimensionMismatch(f"Omega has {side.n} columns, state dim is {sys.n}")
+    _same_state(sys, side)
 
     def compute() -> SubspaceBasis:
         v, omega = weakly_unobservable(sys, tol).basis, side.omega
         ker = null_space(omega @ v, tol, float(np.linalg.norm(omega, 2)))
-        meet = SubspaceBasis(sys.n, v @ ker.basis)
-        meet.basis.flags.writeable = False
-        return meet
+        return SubspaceBasis(sys.n, v @ ker.basis)
 
     return _memo(sys, ("null_omega_v", side, tol), compute)
 

@@ -24,8 +24,8 @@ import numpy as np
 from .analysis import UndetectabilityCertificate, extension_verdict
 from .errors import (DimensionMismatch, HorizonTooShort, NoModes, NotExtensible, NotSynthesizable,
                      ThetaNotFeasible)
-from .model import AttackSequence, LtiSystem, SideInformation, _finite, propagate
-from .numlin import DEFAULT_TOL, Tol, above_cut, feasible, rank_cut
+from .model import AttackSequence, LtiSystem, SideInformation, _same_state, propagate
+from .numlin import DEFAULT_TOL, Tol, _finite, above_cut, feasible, rank_cut
 from .subspaces import _nulling_factors, weakly_unobservable
 
 __all__ = [
@@ -351,7 +351,7 @@ def undetectable_from_theta(
     Raises
     ------
     NonFinite, DimensionMismatch
-        If theta is not n finite numbers.
+        If theta is not n finite numbers, or Omega does not have n columns.
     HorizonTooShort
         If t < n - 1.
     ThetaNotFeasible
@@ -363,6 +363,7 @@ def undetectable_from_theta(
         raise DimensionMismatch(f"theta must have length {sys.n}, got {theta.size}")
     if t < sys.n - 1:
         raise HorizonTooShort(f"horizon {t} < {sys.n - 1}")
+    _same_state(sys, omega)
     tn = float(np.linalg.norm(theta))
     if not feasible(float(np.linalg.norm(omega.omega @ theta)), tn, tol):
         raise ThetaNotFeasible("theta is visible to the side information")

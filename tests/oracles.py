@@ -5,10 +5,72 @@ stacking code, so agreement with the package is a genuine cross-check and
 not a tautology.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.linalg
 
 from ltisec import AttackSequence, LtiSystem, SideInformation
+
+
+def _exact_kernel(rows, cols: int) -> list[list[Fraction]]:
+    """A basis of {x : r . x = 0 for every row r}, exactly, by Gauss-Jordan
+    elimination over the rationals; no rows leave the whole space."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for j in range(cols):
+        i = next((i for i in range(len(pivots), len(rows)) if rows[i][j]), None)
+        if i is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[i] = rows[i], rows[top]
+        rows[top] = [x / rows[top][j] for x in rows[top]]
+        for k, r in enumerate(rows):
+            if k != top and r[j]:
+                rows[k] = [x - r[j] * y for x, y in zip(r, rows[top])]
+        pivots.append(j)
+    basis = []
+    for free in (j for j in range(cols) if j not in pivots):
+        x = [Fraction(0)] * cols
+        x[free] = Fraction(1)
+        for i, j in enumerate(pivots):
+            x[j] = -rows[i][free]
+        basis.append(x)
+    return basis
+
+
+def exact_rank(m) -> int:
+    """The rank of a matrix of integers or dyadic rationals, exactly."""
+    m = [list(r) for r in m]
+    cols = len(m[0]) if m else 0
+    return cols - len(_exact_kernel(m, cols))
+
+
+def exact_isa(a, b, c, d) -> tuple[int, bool]:
+    """dim V and whether a zero-state attack exists, exactly, for a plant of
+    integers or dyadic rationals; standard library only.
+
+    V_i is held as ker F_i, F_0 having no rows.  V_{i+1} is the x-part of
+    ker [C D; F_i A F_i B], and F_{i+1} spans its annihilator.  From rest, a
+    first frame u nulls the output and lands the state in V = ker F exactly
+    when u is in ker [D; F B], so a zero-state attack exists exactly when
+    that kernel is not {0}.
+    """
+    a, b, c, d = ([[Fraction(x) for x in r] for r in m] for m in (a, b, c, d))
+    n, s = len(a), len(b[0])
+
+    def times(f, m):  # the row f times the matrix m
+        return [sum((fi * m[i][j] for i, fi in enumerate(f)), Fraction(0)) for j in range(len(m[0]))]
+
+    f, dim = [], n
+    while True:
+        pairs = _exact_kernel([cr + dr for cr, dr in zip(c, d)]
+                              + [times(r, a) + times(r, b) for r in f], n + s)
+        f = _exact_kernel([x[:n] for x in pairs], n)
+        if n - len(f) == dim:
+            break
+        dim = n - len(f)
+    return dim, bool(_exact_kernel(d + [times(r, b) for r in f], s))
 
 
 def stack_obs(a, c, t):

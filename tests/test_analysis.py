@@ -11,12 +11,15 @@ from ltisec import (
     AttackSequence,
     DetectorConfig,
     DetectorSession,
+    DimensionMismatch,
     HorizonTooShort,
     LtiSystem,
     NonFinite,
     NotSynthesizable,
     NotUndetectable,
+    Scenario,
     SideInformation,
+    SubspaceBasis,
     ThetaNotFeasible,
     Tol,
     certify_undetectable,
@@ -27,6 +30,7 @@ from ltisec import (
     simulate,
     weakly_unobservable,
 )
+from ltisec.reports import analyze_report
 from ltisec.subspaces import _null_omega_meet_v
 from ltisec.synthesis import (
     extend_attack,
@@ -337,18 +341,19 @@ def test_long_horizon_aircraft_certificates(aircraft_sys, aircraft_side, aircraf
 def test_attack_whose_norm_overflows_is_not_decided():
     # finite frames up to 6e202 and a last frame of 1e200 leave a last
     # output near -6e202; the stacked norms overflow, and against an
-    # infinite scale every residual would pass
+    # infinite scale every residual would pass.  NonFinite is the only
+    # signal: no numpy warning escapes.
     sys = LtiSystem(a=np.array([[5.0, 1.0], [0.0, 0.5]]), b=np.eye(2),
                     c=np.array([[1.0, 0.0]]), d=np.array([[0.0, 1.0]]))
     frames = zero_state_synthesize(sys, 300).frames.copy()
     frames[-1] = 1e200
     attack = AttackSequence(frames)
-    # the norms overflow by construction; the verdict is what is tested
-    with np.errstate(over="ignore"):
-        with pytest.raises(NonFinite):
-            is_zero_state_inducing(sys, attack)
-        with pytest.raises(NonFinite):
-            certify_undetectable(sys, SideInformation.none(2), attack)
+    with pytest.raises(NonFinite):
+        is_zero_state_inducing(sys, attack)
+    with pytest.raises(NonFinite):
+        certify_undetectable(sys, SideInformation.none(2), attack)
+    with pytest.raises(NonFinite):
+        classify(sys, SideInformation(np.array([[0.0, 1.0]])), attack)
 
 
 def _mixing(rng, q: int) -> np.ndarray:
@@ -485,6 +490,49 @@ def test_equal_side_informations_share_the_kept_results(aircraft):
         DetectorSession(sys, DetectorConfig(5, side), side.value_for(np.zeros(sys.n)))
     kept = [key[0] for key in sys._factorizations]
     assert kept.count("null_omega_v") == 1 and kept.count("detector") == 1
+
+
+def _arrays(kept):
+    """Every array in a kept result, and every array it views."""
+    if isinstance(kept, SubspaceBasis):
+        kept = kept.basis
+    if isinstance(kept, (tuple, list)):
+        for part in kept:
+            yield from _arrays(part)
+    while isinstance(kept, np.ndarray):
+        yield kept
+        kept = kept.base
+
+
+def test_no_kept_array_can_be_written(aircraft):
+    """After every verdict has run on a fresh plant, no array kept on it is
+    writeable, either directly or through an array it views."""
+    sys = LtiSystem(aircraft.system.a, aircraft.system.b, aircraft.system.c, aircraft.system.d)
+    side, attack = aircraft.side, aircraft.attack
+    analyze_report(Scenario(sys, side, None, None), Tol())
+    certify_undetectable(sys, side, attack)
+    classify(sys, side, attack)
+    traj = simulate(sys, np.zeros(sys.n), attack, side)
+    run_detector(sys, DetectorConfig(5, side), traj.side_value, traj.outputs)
+    kept = list(_arrays(list(sys._factorizations.values())))
+    assert len(kept) > 10 and not any(m.flags.writeable for m in kept)
+
+
+def test_omega_of_the_wrong_width_raises_at_every_entry(aircraft):
+    """One check, with one message, guards every entry that reads Omega,
+    the zero attack and the zero theta included."""
+    sys, attack = aircraft.system, aircraft.attack
+    narrow = SideInformation(np.ones((1, 3)))
+    calls = [lambda: certify_undetectable(sys, narrow, attack),
+             lambda: certify_undetectable(sys, narrow, AttackSequence.zeros(sys.s, 10)),
+             lambda: classify(sys, narrow, attack),
+             lambda: extension_verdict(sys, narrow, attack, certify_undetectable(sys, aircraft.side, attack)),
+             lambda: undetectable_from_theta(sys, narrow, np.zeros(sys.n), 10),
+             lambda: simulate(sys, np.zeros(sys.n), attack, narrow),
+             lambda: run_detector(sys, DetectorConfig(5, narrow), np.zeros(1), np.zeros((9, sys.p)))]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="^Omega has 3 columns, state dim is 4$"):
+            call()
 
 
 def _read_only(m) -> np.ndarray:

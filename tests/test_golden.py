@@ -46,7 +46,9 @@ def test_detect_matches_golden(tmp_path, capsys):
             str(GOLDEN / "simulate.jsonl"), "--tol", "5e-3", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().out == (GOLDEN / "detect.txt").read_text()
-    assert out.read_bytes() == (GOLDEN / "detect.csv").read_bytes()
+    # the run of repro-aircraft's detector with side information: the bundled
+    # aircraft, x0 = 0, the bundled attack, l = 5 and tol 5e-3
+    assert out.read_bytes() == (GOLDEN / "detect_side.csv").read_bytes()
 
 
 def test_repro_aircraft_csvs_match_golden(tmp_path, capsys):

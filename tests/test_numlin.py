@@ -18,6 +18,7 @@ from ltisec import (
     null_space,
     numerical_rank,
     orth_columns,
+    output_nulling_reachable,
     projector,
     solve_min_norm,
 )
@@ -204,6 +205,17 @@ def test_tol_validation():
 def test_subspace_basis_rejects_skewed_columns():
     with pytest.raises(ValueError):
         SubspaceBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_every_subspace_basis_holds_a_read_only_copy(aircraft_sys):
+    q = np.eye(3)[:, :2].copy()
+    basis = SubspaceBasis(3, q)
+    q[:] = 0.0
+    assert np.array_equal(basis.basis, np.eye(3)[:, :2]) and basis.contains(np.eye(3)[0])
+    for kept in (basis, null_space(np.ones((1, 3))), orth_columns(np.ones((3, 1))),
+                 output_nulling_reachable(aircraft_sys, 2)):
+        with pytest.raises(ValueError):
+            kept.basis[0, 0] = 1.0
 
 
 # -- the single decision rule: feasible and rank_cut ------------------------

@@ -21,8 +21,9 @@ from ltisec.numlin import orth_columns
 from ltisec.subspaces import _null_omega_meet_v
 from ltisec.synthesis import find_zero_dynamics_modes
 
-from oracles import (SHAPES, meet_has_margin, null_omega_meet_v, rand_shaped_system, rand_side,
-                     rand_system, rank_has_margin, stack_io, zero_state_oracle)
+from oracles import (SHAPES, exact_isa, exact_rank, meet_has_margin, null_omega_meet_v,
+                     rand_shaped_system, rand_side, rand_system, rank_has_margin, stack_io,
+                     zero_state_oracle)
 
 
 def test_v_trivial_observable_no_feedthrough():
@@ -309,3 +310,28 @@ def test_null_omega_meet_v_is_kept_per_omega_and_tol(aircraft_sys, aircraft_side
     # an equal Omega in another object finds the kept basis
     assert _null_omega_meet_v(aircraft_sys, SideInformation(aircraft_side.omega.copy()), tol) is meet
     assert _null_omega_meet_v(aircraft_sys, aircraft_side, Tol(rank_rel=1e-6)) is not meet
+
+
+
+def _small_integer_plant(rng):
+    """A sparse plant with entries in -2..2 and n <= 6, of any shape: p > s,
+    s > p or p = s, with D = 0 half of the time."""
+    n, p, s = rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 4)
+    entries = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -2.0])
+    a, b, c, d = (rng.choice(entries, shape) for shape in ((n, n), (n, s), (p, n), (p, s)))
+    return a, b, c, d if rng.random() < 0.5 else np.zeros((p, s))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_v_and_zero_state_match_exact_arithmetic(seed):
+    """dim V and the zero-state verdict equal those of ``oracles.exact_isa``,
+    which runs the recursion in rational arithmetic.  Draws are kept when
+    (A, C) is observable and [B; D] injective, both decided exactly; integer
+    matrix powers are exact in floating point at these sizes."""
+    a, b, c, d = _small_integer_plant(np.random.default_rng(seed))
+    n = a.shape[0]
+    obs = np.vstack([c @ np.linalg.matrix_power(a, k) for k in range(n)])
+    assume(exact_rank(obs) == n and exact_rank(np.vstack([b, d])) == b.shape[1])
+    sys = LtiSystem(a, b, c, d)
+    assert (weakly_unobservable(sys).dim, zero_state_attack_exists(sys)) == exact_isa(a, b, c, d)
