@@ -20,7 +20,8 @@ therefore costs O(T) time and memory.
 ``classify`` answers its three questions from one run from rest and one
 O_T: both certificates and the zero-state decision are the private rules
 that ``certify_undetectable`` and ``is_zero_state_inducing`` call, so its
-flags equal those verdicts by construction.
+flags equal those verdicts by construction.  Every decision about an attack
+is one private rule here; ``synthesis`` only builds frames and asks them.
 """
 
 from __future__ import annotations
@@ -102,18 +103,20 @@ def certify_undetectable(
     DimensionMismatch
         If Omega does not have n columns, the zero attack included.
     """
-    _require_horizon(sys, attack)
+    _require_horizon(sys, attack.horizon_t)
     _same_state(sys, omega)
-    if attack.is_zero:
-        return UndetectabilityCertificate(True, np.zeros(sys.n), 0.0, True, True)
     return _certificate(sys, omega, _from_rest(sys, attack), None, tol)
 
 
-def _require_horizon(sys: LtiSystem, attack: AttackSequence) -> None:
-    if attack.horizon_t < sys.n - 1:
-        raise HorizonTooShort(
-            f"horizon {attack.horizon_t} < {sys.n - 1}; undetectability needs T >= n-1"
-        )
+def _require_horizon(sys: LtiSystem, t: int) -> None:
+    if t < sys.n - 1:
+        raise HorizonTooShort(f"horizon {t} < {sys.n - 1}; undetectability needs T >= n-1")
+
+
+def _admissible(sys: LtiSystem, omega: SideInformation, theta: np.ndarray, tol: Tol) -> tuple[bool, bool]:
+    """Whether theta lies in ker(Omega), and whether in V, against ||theta||."""
+    in_null = feasible(float(np.linalg.norm(omega.omega @ theta)), float(np.linalg.norm(theta)), tol)
+    return in_null, weakly_unobservable(sys, tol).contains(theta, tol)
 
 
 def _from_rest(sys: LtiSystem, attack: AttackSequence) -> np.ndarray:
@@ -147,9 +150,7 @@ def _certificate(
         xi, residual = solve_min_norm(ot @ cands.basis, rhs, tol)
         theta = cands.basis @ xi
     und = feasible(residual, rhs_norm, tol)
-    in_null = feasible(float(np.linalg.norm(omega.omega @ theta)),
-                       float(np.linalg.norm(theta)), tol)
-    in_v = weakly_unobservable(sys, tol).contains(theta, tol)
+    in_null, in_v = _admissible(sys, omega, theta, tol)
     return UndetectabilityCertificate(
         undetectable=und,
         induced_state=theta if und else None,
@@ -190,6 +191,15 @@ def _zero_state(
     return feasible(float(np.linalg.norm(y_rest)), scale, tol)
 
 
+def _nulls_from(sys: LtiSystem, theta: np.ndarray, attack: AttackSequence, tol: Tol) -> bool:
+    """Whether the run from theta under the attack nulls the output, scaled
+    as certification scales it: by the output from rest M E, not by
+    ||O theta||, which extension frames can dwarf by orders of magnitude."""
+    y_theta, _ = propagate(sys, theta, attack)
+    res = float(np.linalg.norm(y_theta))
+    return np.isfinite(res) and feasible(res, float(np.linalg.norm(_from_rest(sys, attack))), tol)
+
+
 def extension_verdict(
     sys: LtiSystem,
     omega: SideInformation,
@@ -212,17 +222,16 @@ def extension_verdict(
     Raises
     ------
     NotUndetectable
-        If the certificate reports a detectable attack.
+        If the certificate reports a detectable attack, or carries no theta.
     DimensionMismatch
         If Omega does not have n columns.
     """
     _same_state(sys, omega)
     if not cert.undetectable:
         raise NotUndetectable("extension analysis applies to undetectable attacks only")
-    theta = cert.induced_state
-    if theta is None:
-        theta = np.zeros(sys.n)
-    _, w = propagate(sys, theta, attack)
+    if cert.induced_state is None:
+        raise NotUndetectable("the certificate carries no induced state theta")
+    _, w = propagate(sys, cert.induced_state, attack)
     residual = weakly_unobservable(sys, tol).residual_outside(w)
     ok = feasible(residual, float(np.linalg.norm(w)), tol)
     return ExtensionVerdict(extensible_forever=ok, test_vector=w, membership_residual=residual)
@@ -282,7 +291,7 @@ def classify(
     HorizonTooShort
         If the attack horizon is below n - 1.
     """
-    _require_horizon(sys, attack)
+    _require_horizon(sys, attack.horizon_t)
     y_rest = _from_rest(sys, attack)
     ot = obs_matrix(sys, attack.horizon_t)
     no_info = SideInformation.none(sys.n)

@@ -192,23 +192,15 @@ class DetectorSession:
         ring[j + l] = y
         if k < l - 1:
             return None
-        window = ring[j + 1 : j + 1 + l].reshape(-1)
+        test, q = ring[j + 1 : j + 1 + l].reshape(-1), self._q_later
         if k == l - 1:
-            test = np.concatenate([self._y_omega, window])
-            q = self._q_first
-        else:
-            test = window
-            q = self._q_later
+            test, q = np.concatenate([self._y_omega, test]), self._q_first
         # math.sqrt(x.dot(x)) is np.linalg.norm's own arithmetic for a vector
         r = test - q @ (q.T @ test)
         residual = math.sqrt(r.dot(r))
-        # A non-finite entry always makes the residual non-finite, so the
-        # entries are only inspected when the residual is.
-        if not math.isfinite(residual) and not np.isfinite(window).all():
-            raise NonFinite(_NON_FINITE.format(k=k))
         norm = math.sqrt(test.dot(test))
         if not math.isfinite(norm):
-            raise NonFinite(_OVERFLOW.format(k=k))
+            raise _refused(k, test)
         ok = feasible(residual, norm, self.config.tol)
         return EpochDecision(
             k=k,
@@ -218,15 +210,19 @@ class DetectorSession:
         )
 
 
+def _refused(k: int, window: np.ndarray) -> NonFinite:
+    """The error for the window ending at k, whose norm is not finite (as it
+    is whenever the window holds NaN or an infinity); its entries pick the message."""
+    return NonFinite((_OVERFLOW if np.isfinite(window).all() else _NON_FINITE).format(k=k))
+
+
 def _decided_rows(q: np.ndarray, w: np.ndarray, first_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Residual and norm of each window ``w[i]``, which ends at k = first_k + i,
     against the range of ``q``.  On stacked operands matmul makes one gemv
     per row for each projection and one dot per row for each norm, the BLAS
     calls ``push`` makes on one window, so every row gets ``push``'s bits.
 
-    Raises ``NonFinite`` at the first window ``push`` would refuse.  A window
-    holding NaN or an infinity always has a non-finite norm, so the norms
-    alone locate it; its entries tell which message ``push`` gives."""
+    Raises ``_refused``'s error at the first window ``push`` would refuse."""
     col = w[:, :, None]
     r = w - np.matmul(q, np.matmul(q.T, col))[:, :, 0]
     residual = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
@@ -234,8 +230,7 @@ def _decided_rows(q: np.ndarray, w: np.ndarray, first_k: int) -> tuple[np.ndarra
     finite = np.isfinite(norm)
     if not finite.all():
         i = int(np.argmin(finite))
-        message = _OVERFLOW if np.isfinite(w[i]).all() else _NON_FINITE
-        raise NonFinite(message.format(k=first_k + i))
+        raise _refused(first_k + i, w[i])
     return residual, norm
 
 

@@ -169,7 +169,16 @@ class SideInformation:
         return self.omega.shape[1]
 
     def value_for(self, x0: np.ndarray) -> np.ndarray:
-        return self.omega @ np.asarray(x0, dtype=float)
+        """Omega x0 for x0 of n finite numbers, else ``NonFinite`` or ``DimensionMismatch``."""
+        return self.omega @ _state(_finite("x0", x0), self.n)
+
+
+def _state(x0, n: int) -> np.ndarray:
+    """x0 as a float vector of n entries, else ``DimensionMismatch``."""
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape[0] != n:
+        raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {n}")
+    return x
 
 
 def _same_state(sys: LtiSystem, side: SideInformation) -> None:
@@ -295,9 +304,7 @@ def propagate(
     Flattened, the outputs equal ``O_T x0 + M_T E(T)``; the final state
     equals ``A^{T+1} x0 + C_T E(T)``.  O(T) time and memory.
     """
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != sys.n:
-        raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {sys.n}")
+    x = _state(x0, sys.n)
     if attack.s != sys.s:
         raise DimensionMismatch(
             f"attack has {attack.s} channels, system expects {sys.s}"

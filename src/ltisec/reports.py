@@ -18,8 +18,7 @@ from .errors import NoModes
 from .model import AttackSequence, SideInformation, simulate, validate
 from .numlin import Tol
 from .scenario import Scenario, aircraft_path, load_scenario
-from .subspaces import (_null_omega_meet_v, _nulling_factors, output_nulling_reachable,
-                        weakly_unobservable, zero_state_attack_exists)
+from .subspaces import _null_omega_meet_v, _nulling_factors, weakly_unobservable, zero_state_attack_exists
 from .synthesis import find_zero_dynamics_modes
 
 __all__ = [
@@ -118,13 +117,12 @@ def analyze_report(
     check = validate(sys, tol)
     rep.add("observable", str(check.observable).lower())
     rep.add("bd_injective", str(check.bd_injective).lower())
-    v = weakly_unobservable(sys, tol)
-    w1 = output_nulling_reachable(sys, 1, tol)
-    rep.add("dim_weakly_unobservable", str(v.dim))
-    rep.add("dim_output_nulling_w1", str(w1.dim))
-    # B maps the free inputs kept with V onto W_1 meet V, one to one as a
-    # loaded scenario's [B; D] is injective
-    rep.add("dim_w1_meet_v", str(_nulling_factors(sys, tol)[-1][1].shape[1]))
+    nulling = _nulling_factors(sys, tol)
+    rep.add("dim_weakly_unobservable", str(weakly_unobservable(sys, tol).dim))
+    # B maps ker D (N_0) onto W_1 and the free inputs kept with V (N_inf)
+    # onto W_1 meet V, one to one as a loaded scenario's [B; D] is injective
+    rep.add("dim_output_nulling_w1", str(nulling[0][1].shape[1]))
+    rep.add("dim_w1_meet_v", str(nulling[-1][1].shape[1]))
     rep.add("zero_state_attack_exists", str(zero_state_attack_exists(sys, tol)).lower())
     rep.add("dim_null_omega_meet_v", str(_null_omega_meet_v(sys, scenario.side, tol).dim))
     try:

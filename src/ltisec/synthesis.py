@@ -1,6 +1,7 @@
 """Constructions of stealthy attack families.
 
-Four constructions, each returning concrete attack frames:
+Four constructions, each returning concrete attack frames; whether a theta
+or built frames are admissible and verified is decided by ``analysis``:
 
 * geometric-mode attacks a(k) = lambda^k g built from null vectors of the
   system pencil [lambda I - A, -B; C, D], from one eigendecomposition of
@@ -21,10 +22,10 @@ from itertools import islice
 
 import numpy as np
 
-from .analysis import UndetectabilityCertificate, extension_verdict
-from .errors import (DimensionMismatch, HorizonTooShort, NoModes, NotExtensible, NotSynthesizable,
-                     ThetaNotFeasible)
-from .model import AttackSequence, LtiSystem, SideInformation, _same_state, propagate
+from .analysis import (UndetectabilityCertificate, _admissible, _nulls_from, _require_horizon,
+                       extension_verdict)
+from .errors import DimensionMismatch, NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
+from .model import AttackSequence, LtiSystem, SideInformation, _same_state
 from .numlin import DEFAULT_TOL, Tol, _finite, above_cut, feasible, rank_cut
 from .subspaces import _nulling_factors, weakly_unobservable
 
@@ -73,13 +74,15 @@ def _pencil(sys: LtiSystem, lam: complex) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude entry is positive real."""
-    i = int(np.argmax(np.abs(v)))
-    piv = v[i]
-    if piv == 0:
-        return v
-    return v * (np.conj(piv) / np.abs(piv))
+def _canonical_phase(w: np.ndarray) -> np.ndarray:
+    """A copy of ``w`` with each nonzero column rotated so its largest-magnitude
+    entry is positive real; real columns turn by exactly +-1."""
+    w = np.array(w)
+    piv = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
+    mag = np.abs(piv)
+    turn = mag > 0
+    w[:, turn] *= np.conj(piv[turn]) / mag[turn]
+    return w
 
 
 def _real_if_noise(lam: np.ndarray) -> np.ndarray:
@@ -93,20 +96,13 @@ def _verified(sys: LtiSystem, lam: np.ndarray, w: np.ndarray, tol: Tol) -> list[
     or None where a block vanishes or the pencil residual is infeasible.
 
     Each column is rotated so its largest entry is positive real
-    (``_canonical_phase``), and made real with its lambda where both
-    imaginary parts are rounding noise.  One product with [A B; C D] gives
-    every residual ||[lambda theta - A theta - B g; C theta + D g]||.
+    (``_canonical_phase``) and made real where its imaginary part is rounding
+    noise; callers pass lambda through ``_real_if_noise``.  One product with
+    [A B; C D] gives every residual ||[lambda theta - A theta - B g; C theta + D g]||.
     """
     n = sys.n
-    w = np.array(w)  # a copy, rotated in place below; real columns turn by exactly +-1
-    piv = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
-    mag = np.abs(piv)
-    turn = mag > 0
-    w[:, turn] *= np.conj(piv[turn]) / mag[turn]
-    w = w.astype(complex, copy=False)
-    real = (np.max(np.abs(w.imag), axis=0) <= _IMAG_NOISE) & (np.abs(lam.imag) <= _IMAG_NOISE)
-    w.imag[:, real] = 0.0
-    lam = np.where(real, lam.real.astype(complex), lam)
+    w = _canonical_phase(w).astype(complex, copy=False)
+    w.imag[:, np.max(np.abs(w.imag), axis=0) <= _IMAG_NOISE] = 0.0
     theta_norm, g_norm = np.linalg.norm(w[:n], axis=0), np.linalg.norm(w[n:], axis=0)
     r = np.block([[sys.a, sys.b], [sys.c, sys.d]]) @ w
     r[:n] = lam * w[:n] - r[:n]
@@ -311,7 +307,7 @@ def zero_state_synthesize(
     if free.shape[1] == 0:
         raise NotSynthesizable("one-step output-nulling image does not meet the "
                                "weakly unobservable subspace")
-    a0 = _canonical_phase(free[:, 0])
+    a0 = _canonical_phase(free[:, :1])[:, 0]
     closed = sys.a + sys.b @ gain
     arr = np.empty((t + 1, sys.s))
     arr[0] = a0
@@ -326,16 +322,16 @@ def zero_state_synthesize(
     return AttackSequence(arr)
 
 
-def _nulls_from(sys: LtiSystem, theta: np.ndarray, attack: AttackSequence, tol: Tol) -> bool:
-    """Whether the run from theta under the attack nulls the output.  Its
-    outputs O theta + M E are scaled as certification scales them, by the
-    output from rest M E, not by ||O theta||, which extension frames can
-    dwarf by orders of magnitude; where the frames null the output, the two
-    scales differ by at most the residual."""
-    y_theta, _ = propagate(sys, theta, attack)
-    y_rest, _ = propagate(sys, np.zeros(sys.n), attack)
-    res = float(np.linalg.norm(y_theta))
-    return np.isfinite(res) and feasible(res, float(np.linalg.norm(y_rest)), tol)
+def _realized(sys: LtiSystem, theta: np.ndarray, head: np.ndarray, x: np.ndarray, m: int,
+              tol: Tol) -> AttackSequence | None:
+    """``head`` and then the minimum-norm frames a(0..m) nulling the output
+    of the recursion from x, or None where these overflow or the run from
+    theta under all the frames fails ``analysis._nulls_from``."""
+    tail = _nulling_frames(sys, x, m, tol)
+    if tail is None:
+        return None
+    attack = AttackSequence(np.vstack([head, tail]))
+    return attack if _nulls_from(sys, theta, attack, tol) else None
 
 
 def undetectable_from_theta(
@@ -361,22 +357,19 @@ def undetectable_from_theta(
     theta = _finite("theta", theta).reshape(-1)
     if theta.size != sys.n:
         raise DimensionMismatch(f"theta must have length {sys.n}, got {theta.size}")
-    if t < sys.n - 1:
-        raise HorizonTooShort(f"horizon {t} < {sys.n - 1}")
+    _require_horizon(sys, t)
     _same_state(sys, omega)
-    tn = float(np.linalg.norm(theta))
-    if not feasible(float(np.linalg.norm(omega.omega @ theta)), tn, tol):
+    in_null, in_v = _admissible(sys, omega, theta, tol)
+    if not in_null:
         raise ThetaNotFeasible("theta is visible to the side information")
-    if not weakly_unobservable(sys, tol).contains(theta, tol):
+    if not in_v:
         raise ThetaNotFeasible("theta lies outside the weakly unobservable subspace")
-    if tn == 0.0:
+    if np.linalg.norm(theta) == 0.0:
         return AttackSequence.zeros(sys.s, t)
-    frames = _nulling_frames(sys, theta, t, tol)
-    if frames is not None:
-        attack = AttackSequence(frames)
-        if _nulls_from(sys, theta, attack, tol):
-            return attack
-    raise ThetaNotFeasible("no attack realizes this theta at the given horizon")
+    attack = _realized(sys, theta, np.empty((0, sys.s)), theta, t, tol)
+    if attack is None:
+        raise ThetaNotFeasible("no attack realizes this theta at the given horizon")
+    return attack
 
 
 def extend_attack(
@@ -398,7 +391,7 @@ def extend_attack(
     Raises
     ------
     NotUndetectable
-        If the certificate reports a detectable attack.
+        If the certificate reports a detectable attack, or carries no theta.
     NotExtensible
         If no undetectable extension exists at this horizon.
     """
@@ -408,13 +401,8 @@ def extend_attack(
     if not verdict.extensible_forever:
         raise NotExtensible("the attack parks the shifted state outside the "
                             "weakly unobservable subspace")
-    theta = cert.induced_state
-    if theta is None:
-        theta = np.zeros(sys.n)
-    m = t_prime - attack.horizon_t - 1
-    tail = _nulling_frames(sys, verdict.test_vector, m, tol)
-    if tail is not None:
-        ext = AttackSequence(np.vstack([attack.frames, tail]))
-        if _nulls_from(sys, theta, ext, tol):
-            return ext
-    raise NotExtensible("appended frames fail to keep the attack undetectable")
+    ext = _realized(sys, cert.induced_state, attack.frames, verdict.test_vector,
+                    t_prime - attack.horizon_t - 1, tol)
+    if ext is None:
+        raise NotExtensible("appended frames fail to keep the attack undetectable")
+    return ext

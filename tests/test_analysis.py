@@ -22,6 +22,7 @@ from ltisec import (
     SubspaceBasis,
     ThetaNotFeasible,
     Tol,
+    UndetectabilityCertificate,
     certify_undetectable,
     classify,
     extension_verdict,
@@ -67,11 +68,20 @@ def test_zero_attack_certificate(aircraft_sys, aircraft_side):
     assert cert.undetectable
     assert cert.residual == 0.0
     assert np.allclose(cert.induced_state, 0.0)
+    # the zero attack takes the path of every attack, so frames of the wrong
+    # width are refused as any attack's are
+    with pytest.raises(DimensionMismatch, match="attack has 3 channels"):
+        certify_undetectable(aircraft_sys, aircraft_side, AttackSequence.zeros(3, 6))
 
 
 def test_horizon_guard(aircraft_sys, aircraft_side):
-    with pytest.raises(HorizonTooShort):
+    # at T = n-2 certification and synthesis from theta refuse with one message
+    with pytest.raises(HorizonTooShort) as certified:
         certify_undetectable(aircraft_sys, aircraft_side, AttackSequence.zeros(4, 2))
+    with pytest.raises(HorizonTooShort) as synthesized:
+        undetectable_from_theta(aircraft_sys, aircraft_side, np.zeros(4), 2)
+    assert str(synthesized.value) == str(certified.value) == (
+        "horizon 2 < 3; undetectability needs T >= n-1")
 
 
 def test_aircraft_printed_attack_unprotected(aircraft_sys, aircraft_attack):
@@ -230,6 +240,16 @@ def test_extension_requires_certificate(aircraft_sys, aircraft_side, aircraft_at
     assert not cert.undetectable
     with pytest.raises(NotUndetectable):
         extension_verdict(aircraft_sys, aircraft_side, aircraft_attack, cert, PRINT_TOL)
+    # a certificate that carries no theta is not read as theta = 0: the real
+    # one extends the bundled attack, the theta-less one extends nothing
+    no_info = SideInformation.none(4)
+    thetaless = UndetectabilityCertificate(True, None, 0.0, True, True)
+    with pytest.raises(NotUndetectable):
+        extension_verdict(aircraft_sys, no_info, aircraft_attack, thetaless, PRINT_TOL)
+    with pytest.raises(NotUndetectable):
+        extend_attack(aircraft_sys, no_info, aircraft_attack, thetaless, 40, PRINT_TOL)
+    cert = certify_undetectable(aircraft_sys, no_info, aircraft_attack, PRINT_TOL)
+    assert extend_attack(aircraft_sys, no_info, aircraft_attack, cert, 40, PRINT_TOL).horizon_t == 40
 
 
 def test_extension_always_granted_when_blind(rng):
@@ -417,7 +437,9 @@ def test_classify_is_the_three_verdicts(shape, kind, seed):
     ``certify_undetectable`` under Omega and under no side information and
     of ``is_zero_state_inducing``, on random frames, attacks from a shift in
     ker(Omega) meet V and in V, a zero-state attack where one exists and the
-    zero attack; below T = n - 1 both raise ``HorizonTooShort``.
+    zero attack; below T = n - 1 both raise ``HorizonTooShort``.  The zero
+    attack is certified as every attack is, and its certificate is the
+    record it always had: zero residual, both flags, theta all +0.0.
 
     Margin rule: drop a draw when a rank decision behind ker(Omega) meet V
     has a singular value in (1e-12, 1e-6] times its scale
@@ -441,6 +463,13 @@ def test_classify_is_the_three_verdicts(shape, kind, seed):
             certify_undetectable(sys, side, attack, tol).undetectable,
             certify_undetectable(sys, no_info, attack, tol).undetectable,
             is_zero_state_inducing(sys, attack, tol))
+    cert = certify_undetectable(sys, side, AttackSequence.zeros(sys.s, t), tol)
+    assert (cert.undetectable, cert.residual, cert.theta_in_null_omega, cert.theta_in_v) == (
+        True, 0.0, True, True)
+    assert np.array_equal(cert.induced_state, np.zeros(sys.n))
+    assert not np.signbit(cert.induced_state).any()
+    with pytest.raises(DimensionMismatch):
+        certify_undetectable(sys, side, AttackSequence.zeros(sys.s + 1, t), tol)
     short = AttackSequence(rng.standard_normal((sys.n - 1, sys.s)))
     with pytest.raises(HorizonTooShort):
         certify_undetectable(sys, side, short, tol)

@@ -308,10 +308,14 @@ def test_non_finite_frame_raises(aircraft_sys, aircraft_side, k_bad, bad):
     for k, y in enumerate(outputs):
         try:
             session.push(y)
-        except NonFinite:
-            raised_at = k
+        except NonFinite as exc:
+            raised_at, streamed = k, exc
             break
     assert raised_at == max(k_bad, 4)
+    # the whole-log path names the same epoch with the same message
+    with pytest.raises(NonFinite) as got:
+        run_detector(aircraft_sys, cfg, traj.side_value, outputs)
+    assert str(got.value) == str(streamed)
 
 
 @pytest.mark.parametrize("k_bad", [1, 4, 9])
@@ -326,8 +330,9 @@ def test_batch_non_finite_output_raises(aircraft_sys, aircraft_side, k_bad, bad)
     with pytest.raises(NonFinite):
         Trajectory(outputs, x0, traj.side_value)
     cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
-    with pytest.raises(NonFinite, match=f"k={max(k_bad, 4)} "):
+    with pytest.raises(NonFinite, match=f"k={max(k_bad, 4)} ") as got:
         run_detector(aircraft_sys, cfg, traj.side_value, outputs)
+    assert str(got.value) == str(_push_error(aircraft_sys, cfg, traj.side_value, outputs))
 
 
 def test_window_whose_norm_overflows_raises(aircraft_sys, aircraft_side):
@@ -343,13 +348,16 @@ def test_window_whose_norm_overflows_raises(aircraft_sys, aircraft_side):
     with np.errstate(over="ignore"):
         for y in traj.outputs[:9]:
             session.push(y)
-        with pytest.raises(NonFinite, match="k=9 "):
+        with pytest.raises(NonFinite, match="k=9 is finite but its norm overflows") as streamed:
             session.push(traj.outputs[9])
-    # the whole-log paths let no numpy warning escape, which would fail here
-    with pytest.raises(NonFinite, match="k=9 "):
+    # the whole-log paths let no numpy warning escape, which would fail here,
+    # and give push's message
+    with pytest.raises(NonFinite) as got:
         batch_decide(aircraft_sys, cfg, traj.side_value, traj)
-    with pytest.raises(NonFinite, match="k=9 "):
+    assert str(got.value) == str(streamed.value)
+    with pytest.raises(NonFinite) as got:
         run_detector(aircraft_sys, cfg, traj.side_value, traj.outputs)
+    assert str(got.value) == str(streamed.value)
 
 
 def test_session_copies_each_frame(aircraft_sys, aircraft_side):
@@ -427,8 +435,12 @@ def test_rank_deficiency_raised_on_every_construction(aircraft_side):
 
 def test_non_finite_side_value_rejected(aircraft_sys, aircraft_side):
     cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite) as streamed:
         DetectorSession(aircraft_sys, cfg, np.array([np.inf]))
+    outputs = _quiet_log(aircraft_sys, aircraft_side, 13).outputs
+    with pytest.raises(NonFinite) as got:
+        run_detector(aircraft_sys, cfg, np.array([np.inf]), outputs)
+    assert str(got.value) == str(streamed.value)
 
 
 def _push_all(sys, cfg, y_omega, outputs):

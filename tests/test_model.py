@@ -14,6 +14,7 @@ from ltisec import (
     DimensionMismatch,
     EpochDecision,
     LtiSystem,
+    NonFinite,
     SideInformation,
     Tol,
     Trajectory,
@@ -250,6 +251,18 @@ def test_side_information_kernel():
     assert _null_omega_meet_v(sys, SideInformation.none(4), tol).dim == 4
     with pytest.raises(DimensionMismatch):
         _null_omega_meet_v(sys, SideInformation.none(3), tol)
+
+
+def test_side_value_of_a_state_of_the_wrong_length(aircraft_side):
+    # the message propagate gives for the same x0
+    with pytest.raises(DimensionMismatch, match=r"^x0 has length 3, expected 4$"):
+        aircraft_side.value_for(np.zeros(3))
+    assert aircraft_side.value_for(np.ones((4, 1))).shape == (1,)
+
+
+def test_side_value_of_a_non_finite_state(aircraft_side):
+    with pytest.raises(NonFinite, match="x0"):
+        aircraft_side.value_for(np.array([0.0, np.nan, 0.0, 0.0]))
 
 
 def test_trajectory_stacked():

@@ -11,6 +11,7 @@ from ltisec import (
     Tol,
     io_matrix,
     obs_matrix,
+    validate,
     output_nulling_reachable,
     solve_min_norm,
     weakly_unobservable,
@@ -18,7 +19,7 @@ from ltisec import (
     zero_state_attack_exists,
 )
 from ltisec.numlin import orth_columns
-from ltisec.subspaces import _null_omega_meet_v
+from ltisec.subspaces import _null_omega_meet_v, _nulling_factors
 from ltisec.synthesis import find_zero_dynamics_modes
 
 from oracles import (SHAPES, exact_isa, exact_rank, meet_has_margin, null_omega_meet_v,
@@ -142,6 +143,16 @@ def test_wk_nested(rng):
                 for j in range(prev.dim):
                     assert wk.residual_outside(prev.basis[:, j]) <= 1e-9
             prev = wk
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
+def test_w1_dim_is_the_kept_kernel_of_d(shape, seed):
+    # B is one to one on ker D when [B; D] is injective, so dim W_1 is the
+    # number of columns of N_0, which is how the analysis report reads it
+    sys = rand_shaped_system(np.random.default_rng(seed), shape)
+    assume(validate(sys).ok)
+    assert _nulling_factors(sys, Tol())[0][1].shape[1] == output_nulling_reachable(sys, 1).dim
 
 
 def test_zero_state_attack_exists_aircraft(aircraft_sys):

@@ -742,7 +742,7 @@ def test_defective_abar_takes_the_pencil_svd(n, monkeypatch):
 
 def _reference_mode(sys, lam, v, tol):
     """One candidate verified as a product with the whole pencil."""
-    v = _canonical_phase(v)
+    v = _canonical_phase(v[:, None])[:, 0]
     if np.max(np.abs(v.imag)) <= 1e-12 and abs(lam.imag) <= 1e-12:
         v, lam = v.real.astype(complex), complex(lam.real)
     theta, g = v[: sys.n], v[sys.n :]
