@@ -40,7 +40,7 @@ from .model import (
     obs_matrix,
     propagate,
 )
-from .numlin import DEFAULT_TOL, Tol, feasible, solve_min_norm
+from .numlin import DEFAULT_TOL, Tol, _as_count, _as_vector, feasible, solve_min_norm
 from .subspaces import _null_omega_meet_v, weakly_unobservable
 
 __all__ = [
@@ -108,9 +108,12 @@ def certify_undetectable(
     return _certificate(sys, omega, _from_rest(sys, attack), None, tol)
 
 
-def _require_horizon(sys: LtiSystem, t: int) -> None:
+def _require_horizon(sys: LtiSystem, t) -> int:
+    """The horizon t as an int, if it is at least n - 1."""
+    t = _as_count(t, "t")
     if t < sys.n - 1:
         raise HorizonTooShort(f"horizon {t} < {sys.n - 1}; undetectability needs T >= n-1")
+    return t
 
 
 def _admissible(sys: LtiSystem, omega: SideInformation, theta: np.ndarray, tol: Tol) -> tuple[bool, bool]:
@@ -231,7 +234,7 @@ def extension_verdict(
         raise NotUndetectable("extension analysis applies to undetectable attacks only")
     if cert.induced_state is None:
         raise NotUndetectable("the certificate carries no induced state theta")
-    _, w = propagate(sys, cert.induced_state, attack)
+    _, w = propagate(sys, _as_vector(cert.induced_state, sys.n, "theta"), attack)
     residual = weakly_unobservable(sys, tol).residual_outside(w)
     ok = feasible(residual, float(np.linalg.norm(w)), tol)
     return ExtensionVerdict(extensible_forever=ok, test_vector=w, membership_residual=residual)

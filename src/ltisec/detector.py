@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
 from .model import LtiSystem, SideInformation, Trajectory, _memo, _same_state, obs_matrix
-from .numlin import DEFAULT_TOL, Tol, _finite, _frozen, feasible, orth_columns
+from .numlin import DEFAULT_TOL, Tol, _as_count, _as_floats, _as_vector, _frozen, feasible, orth_columns
 
 __all__ = [
     "Decision",
@@ -74,6 +74,7 @@ class DetectorConfig:
     tol: Tol = DEFAULT_TOL
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "window_len_l", _as_count(self.window_len_l, "window_len_l"))
         n = self.omega.n
         if self.window_len_l < n + 1:
             raise ValueError(
@@ -140,10 +141,7 @@ def _prepared(sys: LtiSystem, config: DetectorConfig,
     _same_state(sys, config.omega)
     q_first, q_later = _memo(sys, ("detector", config), lambda: _range_bases(
         sys, config.omega.omega, config.window_len_l, config.tol))
-    y_omega = np.asarray(y_omega, float).reshape(-1)
-    if y_omega.shape[0] != config.omega.q:
-        raise DimensionMismatch(f"y_omega has length {y_omega.shape[0]}, expected {config.omega.q}")
-    return q_first, q_later, _finite("y_omega", y_omega)
+    return q_first, q_later, _as_vector(y_omega, config.omega.q, "y_omega")
 
 
 class DetectorSession:
@@ -243,8 +241,9 @@ def run_detector(sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray,
     Raises
     ------
     DimensionMismatch
-        If the outputs are not two-dimensional, are fewer than the window
-        length, or their frames do not have p entries.
+        If the outputs are not a numeric array (frames of unequal lengths),
+        are not two-dimensional, are fewer than the window length, or their
+        frames do not have p entries.
     NonFinite
         If a window holds NaN or an infinity, or its norm overflows; the
         error names the first such epoch, as ``push`` does.
@@ -252,7 +251,7 @@ def run_detector(sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray,
         As ``DetectorSession``.
     """
     q_first, q_later, y_omega = _prepared(sys, config, y_omega)
-    frames = np.asarray(outputs, float)
+    frames = _as_floats("outputs", outputs)
     l, tol, p = config.window_len_l, config.tol, sys.p
     if frames.ndim != 2:
         raise DimensionMismatch(f"outputs have shape {frames.shape}, expected (N, {p})")

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch
-from .numlin import DEFAULT_TOL, Tol, _finite, _frozen, numerical_rank
+from .numlin import DEFAULT_TOL, Tol, _as_count, _as_matrix, _as_vector, _finite, _frozen, numerical_rank
 
 __all__ = [
     "LtiSystem",
@@ -43,7 +43,6 @@ __all__ = [
     "Trajectory",
     "validate",
     "obs_matrix",
-    "markov_column",
     "io_matrix",
     "ctrl_matrix",
     "propagate",
@@ -65,7 +64,7 @@ class LtiSystem:
     d: np.ndarray
 
     def __post_init__(self) -> None:
-        a, b, c, d = (np.atleast_2d(_finite(k, getattr(self, k.lower()))) for k in "ABCD")
+        a, b, c, d = (_as_matrix(getattr(self, k.lower()), k) for k in "ABCD")
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"A must be square, got {a.shape}")
         n = a.shape[0]
@@ -151,7 +150,7 @@ class SideInformation:
     _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        om = _frozen(np.atleast_2d(_finite("Omega", self.omega)))
+        om = _frozen(_as_matrix(self.omega, "Omega"))
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "_key", (om.shape, om.tobytes()))
 
@@ -170,15 +169,7 @@ class SideInformation:
 
     def value_for(self, x0: np.ndarray) -> np.ndarray:
         """Omega x0 for x0 of n finite numbers, else ``NonFinite`` or ``DimensionMismatch``."""
-        return self.omega @ _state(_finite("x0", x0), self.n)
-
-
-def _state(x0, n: int) -> np.ndarray:
-    """x0 as a float vector of n entries, else ``DimensionMismatch``."""
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != n:
-        raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {n}")
-    return x
+        return self.omega @ _as_vector(x0, self.n, "x0")
 
 
 def _same_state(sys: LtiSystem, side: SideInformation) -> None:
@@ -195,7 +186,7 @@ class AttackSequence:
     frames: np.ndarray
 
     def __post_init__(self) -> None:
-        f = _frozen(np.atleast_2d(_finite("attack frames", self.frames)))
+        f = _frozen(_as_matrix(self.frames, "attack frames"))
         if f.shape[0] == 0:
             raise DimensionMismatch("an attack needs at least one frame")
         object.__setattr__(self, "frames", f)
@@ -232,7 +223,7 @@ class Trajectory:
     side_value: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outputs", _frozen(np.atleast_2d(_finite("outputs", self.outputs))))
+        object.__setattr__(self, "outputs", _frozen(_as_matrix(self.outputs, "outputs")))
         object.__setattr__(self, "initial_state", _frozen(_finite("x0", self.initial_state).reshape(-1)))
         object.__setattr__(self, "side_value", _frozen(_finite("y_omega", self.side_value).reshape(-1)))
 
@@ -243,6 +234,7 @@ class Trajectory:
 
 def obs_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     """Extended observability matrix O_t = [C; CA; ...; CA^t], shape p(t+1) x n."""
+    t = _as_count(t, "t")
     if t < 0:
         raise DimensionMismatch("horizon must be nonnegative")
     blocks = [sys.c]
@@ -251,15 +243,10 @@ def obs_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def markov_column(sys: LtiSystem, t: int) -> np.ndarray:
-    """First block column h_t = [D; CB; CAB; ...; CA^{t-1}B] of M_t,
-    shape p(t+1) x s."""
-    return _markov_from_obs(sys, obs_matrix(sys, t))
-
-
 def _markov_from_obs(sys: LtiSystem, ot: np.ndarray) -> np.ndarray:
-    """h_t = [D; O_{t-1} B], read from O_t (its last block is unused): one
-    product, so every C A^k is built by ``obs_matrix`` alone."""
+    """First block column h_t = [D; CB; CAB; ...; CA^{t-1}B] of M_t, shape
+    p(t+1) x s, read from O_t as [D; O_{t-1} B] (its last block is unused):
+    one product, so every C A^k is built by ``obs_matrix`` alone."""
     return np.vstack([sys.d, ot[: -sys.p] @ sys.b])
 
 
@@ -270,7 +257,7 @@ def io_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     subdiagonal.
     """
     p, s = sys.p, sys.s
-    h = markov_column(sys, t).reshape(t + 1, p, s)
+    h = _markov_from_obs(sys, obs_matrix(sys, t)).reshape(t + 1, p, s)
     # Block (i, j) is h[i - j], zero for j > i.  With g = [h reversed; zeros],
     # block row i is the window g[t - i : 2t + 1 - i], so one strided view
     # holds every block row and a single copy lays them out.
@@ -285,6 +272,7 @@ def ctrl_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     The state reached at time t+1 from x(0) = 0 under attack E(t) is
     ``ctrl_matrix(sys, t) @ E(t)``.
     """
+    t = _as_count(t, "t")
     if t < 0:
         raise DimensionMismatch("horizon must be nonnegative")
     blocks = [sys.b]
@@ -304,7 +292,7 @@ def propagate(
     Flattened, the outputs equal ``O_T x0 + M_T E(T)``; the final state
     equals ``A^{T+1} x0 + C_T E(T)``.  O(T) time and memory.
     """
-    x = _state(x0, sys.n)
+    x = _as_vector(x0, sys.n, "x0")
     if attack.s != sys.s:
         raise DimensionMismatch(
             f"attack has {attack.s} channels, system expects {sys.s}"
@@ -327,7 +315,7 @@ def simulate(
     omega: SideInformation,
 ) -> Trajectory:
     """Run the state recursion and record outputs and side information."""
-    x = _finite("x0", x0).reshape(-1)
+    x = _as_vector(x0, sys.n, "x0")
     _same_state(sys, omega)
     ys, _ = propagate(sys, x, attack)
     return Trajectory(outputs=ys, initial_state=x, side_value=omega.value_for(x))

@@ -10,14 +10,29 @@ module, so the thresholding conventions live here and nowhere else:
 * linear systems are called feasible when the least-squares residual is at
   most ``residual_rel * max(1, ||rhs||)`` (``feasible``).
 
-The package's boundary rules live here too: ``_finite`` rejects NaN and
-infinite entries, and ``_frozen`` takes the read-only copy that every record
-and every kept result holds.
+The package's boundary rules live here too, one per kind of argument; every
+record and entry point calls them, and each error names the argument:
+
+* a matrix (``_as_matrix``) is made at least 2-D; more than two dimensions
+  raise ``DimensionMismatch``, a NaN or infinite entry ``NonFinite``;
+* a vector of n numbers (``_as_vector``) is flattened; a NaN or infinite
+  entry raises ``NonFinite``, any other length ``DimensionMismatch``
+  ("x0 has length 3, expected 4");
+* a count, that is a horizon, window length or step count (``_as_count``),
+  is an int by ``operator.index``; 2.5 or "3" raises ``DimensionMismatch``.
+  Each caller keeps its own lower bound.
+
+Under the first two, ``_finite`` converts to floats and rejects NaN and
+infinite entries; a value numpy cannot convert, such as a ragged nest of
+lists or a string, raises ``DimensionMismatch`` (``_as_floats``).
+``_frozen`` takes the read-only copy that every record and every kept result
+holds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +77,19 @@ class Tol:
 DEFAULT_TOL = Tol()
 
 
+def _as_floats(name: str, m) -> np.ndarray:
+    """``m`` as a float array, or ``DimensionMismatch`` if numpy cannot
+    convert it: a ragged nest of lists, a string or another object."""
+    try:
+        return np.asarray(m, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(f"{name} is not a numeric array: {exc}") from exc
+
+
 def _finite(name: str, m) -> np.ndarray:
-    """``m`` as a float array, or ``NonFinite`` if it holds NaN or infinity."""
-    m = np.asarray(m, dtype=float)
+    """``m`` as a float array (``_as_floats``), or ``NonFinite`` if it holds
+    NaN or infinity."""
+    m = _as_floats(name, m)
     if m.size and not np.all(np.isfinite(m)):
         raise NonFinite(f"{name} contains NaN or infinite entries")
     return m
@@ -79,10 +104,28 @@ def _frozen(m, dtype=float) -> np.ndarray:
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
-    a = np.atleast_2d(np.asarray(m, dtype=float))
+    """The matrix rule: ``m`` as a finite float array of exactly two
+    dimensions, a scalar or vector taken as one row."""
+    a = np.atleast_2d(_finite(name, m))
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be two-dimensional, got shape {a.shape}")
-    return _finite(name, a)
+    return a
+
+
+def _as_vector(v, n: int, name: str) -> np.ndarray:
+    """The vector rule: ``v`` flattened to n finite floats."""
+    x = _finite(name, v).reshape(-1)
+    if x.shape[0] != n:
+        raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {n}")
+    return x
+
+
+def _as_count(value, name: str) -> int:
+    """The count rule: a horizon, window length or step count as an int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,9 +314,7 @@ def solve_min_norm(m, rhs, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, float]:
         empty solution and residual ``||rhs||``.
     """
     a = _as_matrix(m)
-    r = _finite("right-hand side", rhs).reshape(-1)
-    if a.shape[0] != r.shape[0]:
-        raise DimensionMismatch(f"matrix rows {a.shape[0]} != rhs length {r.shape[0]}")
+    r = _as_vector(rhs, a.shape[0], "right-hand side")
     if a.shape[1] == 0:
         return np.zeros(0), float(np.linalg.norm(r))
     x, _, _, _ = np.linalg.lstsq(a, r, rcond=tol.rank_rel)

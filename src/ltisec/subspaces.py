@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import LtiSystem, SideInformation, _memo, _same_state
-from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, _frozen, null_space, orth_columns, rank_cut
+from .numlin import DEFAULT_TOL, SubspaceBasis, Tol, _as_count, _frozen, null_space, orth_columns, rank_cut
 
 __all__ = [
     "weakly_unobservable",
@@ -123,6 +123,7 @@ def output_nulling_reachable(sys: LtiSystem, k: int, tol: Tol = DEFAULT_TOL) -> 
     that image off W_k, projected twice to keep the basis orthonormal and cut
     at ||[A B]||_2.  A step that adds nothing has reached the fixed point.
     """
+    k = _as_count(k, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
     w = orth_columns(sys.b @ _nulling_factors(sys, tol)[0][1], tol).basis

@@ -24,9 +24,9 @@ import numpy as np
 
 from .analysis import (UndetectabilityCertificate, _admissible, _nulls_from, _require_horizon,
                        extension_verdict)
-from .errors import DimensionMismatch, NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
+from .errors import NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
 from .model import AttackSequence, LtiSystem, SideInformation, _same_state
-from .numlin import DEFAULT_TOL, Tol, _finite, above_cut, feasible, rank_cut
+from .numlin import DEFAULT_TOL, Tol, _as_count, _as_vector, _finite, above_cut, feasible, rank_cut
 from .subspaces import _nulling_factors, weakly_unobservable
 
 __all__ = [
@@ -224,6 +224,7 @@ def zero_dynamics_attack(mode: ZeroDynamicsMode, t: int, scale: float = 1.0) -> 
     give its real canonical form.  A NaN or infinite ``scale`` raises
     ``NonFinite``.
     """
+    t = _as_count(t, "t")
     if t < 0:
         raise ValueError("horizon must be nonnegative")
     _finite("scale", scale)
@@ -300,6 +301,7 @@ def zero_state_synthesize(
     NotSynthesizable
         If no such first frame exists, or the frames overflow.
     """
+    t = _as_count(t, "t")
     if t < 1:
         raise ValueError("horizon must be at least 1")
     _finite("scale", scale)
@@ -354,10 +356,8 @@ def undetectable_from_theta(
         If theta violates a membership requirement, or the minimum-norm
         frames overflow or fail verification at this horizon.
     """
-    theta = _finite("theta", theta).reshape(-1)
-    if theta.size != sys.n:
-        raise DimensionMismatch(f"theta must have length {sys.n}, got {theta.size}")
-    _require_horizon(sys, t)
+    theta = _as_vector(theta, sys.n, "theta")
+    t = _require_horizon(sys, t)
     _same_state(sys, omega)
     in_null, in_v = _admissible(sys, omega, theta, tol)
     if not in_null:
@@ -395,6 +395,7 @@ def extend_attack(
     NotExtensible
         If no undetectable extension exists at this horizon.
     """
+    t_prime = _as_count(t_prime, "t_prime")
     if t_prime <= attack.horizon_t:
         raise ValueError("t_prime must exceed the attack horizon")
     verdict = extension_verdict(sys, omega, attack, cert, tol)

@@ -477,9 +477,62 @@ def test_classify_is_the_three_verdicts(shape, kind, seed):
         classify(sys, side, short, tol)
 
 
+def _paper_draw(shape: str, kind: str, seed: int):
+    """A plant of the shape, side information of the kind and, at a horizon
+    T in [n, 2n], random frames, attacks from a shift in ker(Omega) meet V
+    and in V, and a zero-state attack where one exists; None when a rank
+    decision behind ker(Omega) meet V lacks margin (``meet_has_margin``)."""
+    rng = np.random.default_rng(seed)
+    sys, tol = rand_shaped_system(rng, shape), Tol()
+    side = rand_side(rng, sys.n, kind)
+    if not meet_has_margin(side.omega, weakly_unobservable(sys).basis):
+        return None
+    t = int(rng.integers(sys.n, 2 * sys.n + 1))
+    attacks = _attacks(rng, sys, _null_omega_meet_v(sys, side, tol).basis, t)
+    try:
+        attacks.append(zero_state_synthesize(sys, t, tol))
+    except NotSynthesizable:
+        pass
+    return rng, sys, side, tol, attacks
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("mixed", "full")), seed=st.integers(0, 2**32 - 1))
+def test_undetectable_under_omega_is_undetectable_without_it(shape, kind, seed):
+    """Side information only removes shifts: an attack undetectable under
+    Omega is undetectable under no side information, since ker(Omega) meet V
+    lies in V."""
+    draw = _paper_draw(shape, kind, seed)
+    assume(draw is not None)
+    _, sys, side, tol, attacks = draw
+    no_info = SideInformation.none(sys.n)
+    for attack in attacks:
+        if certify_undetectable(sys, side, attack, tol).undetectable:
+            assert certify_undetectable(sys, no_info, attack, tol).undetectable
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("mixed", "full")), seed=st.integers(0, 2**32 - 1))
+def test_undetectable_attack_leaves_the_detector_quiet(shape, kind, seed):
+    """An attack certified undetectable under Omega leaves the detector with
+    window l = n+1 quiet at every epoch, from a random x(0): its outputs are
+    those of the unattacked run from x(0) - theta, and Omega theta = 0."""
+    draw = _paper_draw(shape, kind, seed)
+    assume(draw is not None)
+    rng, sys, side, tol, attacks = draw
+    cfg = DetectorConfig(sys.n + 1, side, tol)
+    for attack in attacks:
+        if certify_undetectable(sys, side, attack, tol).undetectable:
+            traj = simulate(sys, rng.standard_normal(sys.n), attack, side)
+            trace = run_detector(sys, cfg, traj.side_value, traj.outputs)
+            assert not trace.attack.any(), trace.first_detection()
+
+
 def test_classify_runs_from_rest_once(monkeypatch, aircraft, aircraft_mode):
     """One classify makes one run from rest and builds O_T once; h_T is
-    read from that O_T, not built again by ``markov_column``."""
+    read from that O_T."""
     calls = []
 
     def counted(name, fn):
@@ -490,7 +543,6 @@ def test_classify_runs_from_rest_once(monkeypatch, aircraft, aircraft_mode):
 
     monkeypatch.setattr(ltisec.analysis, "propagate", counted("propagate", ltisec.model.propagate))
     monkeypatch.setattr(ltisec.analysis, "obs_matrix", counted("obs_matrix", ltisec.model.obs_matrix))
-    monkeypatch.setattr(ltisec.model, "markov_column", counted("markov_column", ltisec.model.markov_column))
     attack = zero_dynamics_attack(aircraft_mode, 30, 10.0)
     cls = classify(aircraft.system, aircraft.side, attack)
     assert sorted(calls) == ["obs_matrix", "propagate"]

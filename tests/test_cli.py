@@ -209,7 +209,7 @@ def test_from_theta_requires_theta(aircraft_file, capsys):
     assert err.strip() != ""
 
 
-@pytest.mark.parametrize("theta, message", [("1,0,0", "length 4"),
+@pytest.mark.parametrize("theta, message", [("1,0,0", "theta has length 3, expected 4"),
                                             ("0,nan,0,0", "NaN or infinite"),
                                             ("0,inf,0,0", "NaN or infinite")])
 def test_from_theta_rejects_malformed_theta(aircraft_file, capsys, theta, message):

@@ -488,7 +488,7 @@ def test_run_detector_rejects_a_frame_as_push_does(aircraft_sys, aircraft_side, 
     outputs.insert(k_bad, frame)
     cfg = DetectorConfig(window_len_l=5, omega=aircraft_side, tol=Tol())
     assert isinstance(_push_error(aircraft_sys, cfg, traj.side_value, outputs), DimensionMismatch)
-    with pytest.raises(ValueError, match="inhomogeneous shape"):
+    with pytest.raises(DimensionMismatch, match="^outputs is not a numeric array"):
         run_detector(aircraft_sys, cfg, traj.side_value, outputs)
     # a log of such frames, all alike, is no (N, p) array either, nor is a
     # column of frames

@@ -11,6 +11,7 @@ from ltisec import (
     AttackClass,
     AttackSequence,
     DetectorConfig,
+    DetectorSession,
     DimensionMismatch,
     EpochDecision,
     LtiSystem,
@@ -18,6 +19,7 @@ from ltisec import (
     SideInformation,
     Tol,
     Trajectory,
+    UndetectabilityCertificate,
     ValidationReport,
     aircraft_path,
     certify_undetectable,
@@ -27,16 +29,23 @@ from ltisec import (
     load_scenario,
     run_detector,
     io_matrix,
-    markov_column,
     obs_matrix,
+    output_nulling_reachable,
     propagate,
     simulate,
     solve_min_norm,
     validate,
     weakly_unobservable,
 )
+from ltisec.model import _markov_from_obs
 from ltisec.subspaces import _null_omega_meet_v
-from ltisec.synthesis import find_zero_dynamics_modes, zero_dynamics_attack
+from ltisec.synthesis import (
+    extend_attack,
+    find_zero_dynamics_modes,
+    undetectable_from_theta,
+    zero_dynamics_attack,
+    zero_state_synthesize,
+)
 
 from oracles import SHAPES, rand_shaped_system, rand_system, stack_io
 
@@ -265,6 +274,95 @@ def test_side_value_of_a_non_finite_state(aircraft_side):
         aircraft_side.value_for(np.array([0.0, np.nan, 0.0, 0.0]))
 
 
+# Every matrix the package accepts passes numlin._as_matrix, every length-n
+# vector numlin._as_vector and every count numlin._as_count; each names the
+# argument it refused.
+
+@pytest.mark.parametrize("name", ["A", "Omega", "attack frames", "outputs"])
+def test_a_three_dimensional_array_is_refused(aircraft, name):
+    sys, side, attack = aircraft.system, aircraft.side, aircraft.attack
+    build = {
+        "A": lambda: LtiSystem(sys.a[:, :, None], sys.b, sys.c, sys.d),
+        "Omega": lambda: SideInformation(side.omega[:, :, None]),
+        "attack frames": lambda: AttackSequence(attack.frames[:, :, None]),
+        "outputs": lambda: Trajectory(np.zeros((3, 2, 1)), np.zeros(4), np.zeros(1)),
+    }[name]
+    with pytest.raises(DimensionMismatch, match=f"^{name} must be two-dimensional"):
+        build()
+
+
+@pytest.mark.parametrize("name, build", [
+    ("attack frames", lambda sc: AttackSequence([[1, 2, 3, 4], [1]])),
+    ("B", lambda sc: LtiSystem(sc.system.a, [[1.0], [1.0, 2.0], [0.0], [0.0]], sc.system.c,
+                               sc.system.d)),
+    ("Omega", lambda sc: SideInformation([[1.0, "x", 0.0, 0.0]])),
+    ("x0", lambda sc: propagate(sc.system, [0.0, [1.0], 0.0, 0.0], sc.attack)),
+    ("scale", lambda sc: zero_state_synthesize(sc.system, 8, scale="x")),
+    ("theta", lambda sc: undetectable_from_theta(sc.system, sc.side, {"a": 1}, 8)),
+], ids=["frames", "B", "Omega", "x0", "scale", "theta"])
+def test_a_ragged_or_non_numeric_array_is_refused(aircraft, name, build):
+    with pytest.raises(DimensionMismatch, match=f"^{name} is not a numeric array"):
+        build(aircraft)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_propagate_refuses_a_non_finite_state(aircraft_sys, aircraft_attack, bad):
+    # a NaN used to run through to a NaN final state, an infinity to a warning
+    with pytest.raises(NonFinite, match="^x0 contains NaN or infinite entries$"):
+        propagate(aircraft_sys, np.array([bad, 0.0, 0.0, 0.0]), aircraft_attack)
+
+
+def test_a_vector_of_the_wrong_length_is_named(aircraft):
+    sys, side, attack = aircraft.system, aircraft.side, aircraft.attack
+    wrong = r"^{} has length {}, expected {}$"
+    with pytest.raises(DimensionMismatch, match=wrong.format("theta", 3, 4)):
+        undetectable_from_theta(sys, side, np.zeros(3), 8)
+    cert = UndetectabilityCertificate(True, np.zeros(3), 0.0, True, True)
+    with pytest.raises(DimensionMismatch, match=wrong.format("theta", 3, 4)):
+        extension_verdict(sys, side, attack, cert)
+    with pytest.raises(DimensionMismatch, match=wrong.format("x0", 3, 4)):
+        propagate(sys, np.zeros(3), attack)
+    with pytest.raises(DimensionMismatch, match=wrong.format("x0", 5, 4)):
+        simulate(sys, np.zeros(5), attack, side)
+    with pytest.raises(DimensionMismatch, match=wrong.format("y_omega", 2, 1)):
+        DetectorSession(sys, DetectorConfig(5, side), np.zeros(2))
+
+
+@pytest.mark.parametrize("name, value, call", [
+    ("t", 2.5, lambda sc, v: zero_dynamics_attack(_aircraft_mode(sc), v)),
+    ("t", 2.5, lambda sc, v: zero_state_synthesize(sc.system, v)),
+    ("t", 10.5, lambda sc, v: undetectable_from_theta(sc.system, sc.side, np.zeros(4), v)),
+    ("t_prime", 40.5, lambda sc, v: extend_attack(
+        sc.system, sc.side, sc.attack, certify_undetectable(sc.system, sc.side, sc.attack), v)),
+    ("t", 2.5, lambda sc, v: obs_matrix(sc.system, v)),
+    ("t", 2.5, lambda sc, v: io_matrix(sc.system, v)),
+    ("t", 2.5, lambda sc, v: ctrl_matrix(sc.system, v)),
+    ("k", 2.5, lambda sc, v: output_nulling_reachable(sc.system, v)),
+    ("window_len_l", 5.5, lambda sc, v: DetectorConfig(v, sc.side)),
+    ("t", "30", lambda sc, v: zero_state_synthesize(sc.system, v)),
+    ("t", 30.0, lambda sc, v: zero_dynamics_attack(_aircraft_mode(sc), v)),
+], ids=["zero_dynamics_attack", "zero_state_synthesize", "undetectable_from_theta",
+        "extend_attack", "obs_matrix", "io_matrix", "ctrl_matrix", "output_nulling_reachable",
+        "DetectorConfig", "string", "integral_float"])
+def test_a_non_integer_count_is_refused(aircraft, name, value, call):
+    # 2.5 used to give a T = 3 attack, a TypeError or, for a window, a
+    # config that every session refused
+    with pytest.raises(DimensionMismatch, match=f"^{name} must be an integer, got {value!r}$"):
+        call(aircraft, value)
+
+
+def test_an_integer_count_of_any_integer_type_is_an_int(aircraft):
+    attack = zero_dynamics_attack(_aircraft_mode(aircraft), np.int64(3))
+    assert attack.horizon_t == 3
+    config = DetectorConfig(np.int64(5), aircraft.side)
+    assert type(config.window_len_l) is int and config == DetectorConfig(5, aircraft.side)
+    assert obs_matrix(aircraft.system, np.int32(2)).shape == (3 * aircraft.system.p, 4)
+
+
+def _aircraft_mode(scenario):
+    return find_zero_dynamics_modes(scenario.system, lambda_hints=[0.9779])[0]
+
+
 def test_trajectory_stacked():
     traj = Trajectory(outputs=np.array([[1.0, 2.0], [3.0, 4.0]]),
                       initial_state=np.zeros(2), side_value=np.zeros(1))
@@ -304,18 +402,19 @@ def test_io_matrix_matches_oracle_stacking(shape):
             want = stack_io(sys.a, sys.b, sys.c, sys.d, t)
             assert m.flags.writeable
             assert np.allclose(m, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-            assert np.array_equal(markov_column(sys, t), m[:, : sys.s])
+            assert np.array_equal(_markov_from_obs(sys, obs_matrix(sys, t)), m[:, : sys.s])
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_markov_column_brackets_io_norm(shape):
-    # every block column of M_T is a truncated shift of h_T, so
-    # ||h_T|| <= ||M_T|| <= sqrt(T+1) ||h_T||
+    # every block column of M_T is a truncated shift of its first, h_T, so
+    # ||h_T|| <= ||M_T|| <= sqrt(T+1) ||h_T||; h_T as the zero-state rule
+    # reads it from O_T
     rng = np.random.default_rng(20 + SHAPES.index(shape))
     for _ in range(4):
         sys = rand_shaped_system(rng, shape)
         for t in (0, 3, 20):
-            h = np.linalg.norm(markov_column(sys, t), 2)
+            h = np.linalg.norm(_markov_from_obs(sys, obs_matrix(sys, t)), 2)
             m = np.linalg.norm(io_matrix(sys, t), 2)
             assert h <= m * (1 + 1e-12)
             assert m <= np.sqrt(t + 1) * h * (1 + 1e-12)

@@ -191,7 +191,7 @@ def test_solve_min_norm_picks_smallest_solution(rng):
 
 
 def test_solve_min_norm_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^right-hand side has length 2, expected 3$"):
         solve_min_norm(np.eye(3), np.ones(2))
 
 
