@@ -194,6 +194,7 @@ def _zero_state(
     return feasible(float(np.linalg.norm(y_rest)), scale, tol)
 
 
+@np.errstate(over="ignore")  # an overflowed norm is refused below or in feasible
 def _nulls_from(sys: LtiSystem, theta: np.ndarray, attack: AttackSequence, tol: Tol) -> bool:
     """Whether the run from theta under the attack nulls the output, scaled
     as certification scales it: by the output from rest M E, not by
@@ -203,6 +204,7 @@ def _nulls_from(sys: LtiSystem, theta: np.ndarray, attack: AttackSequence, tol: 
     return np.isfinite(res) and feasible(res, float(np.linalg.norm(_from_rest(sys, attack))), tol)
 
 
+@np.errstate(over="ignore")  # an overflowed norm raises NonFinite in feasible
 def extension_verdict(
     sys: LtiSystem,
     omega: SideInformation,

@@ -2,7 +2,7 @@
 
 Subcommands: analyze, synthesize, certify, simulate, detect, repro-aircraft.
 Exit codes: 0 clean/pass, 2 attack detected or certificate/expectation
-mismatch, 1 errors.
+mismatch, 1 usage and input errors.
 """
 
 from __future__ import annotations
@@ -46,16 +46,10 @@ def _tol(args) -> Tol:
     return Tol() if args.tol is None else Tol(residual_rel=args.tol)
 
 
-def _hints(args) -> list[complex] | None:
-    if not args.lambda_hint:
-        return None
-    return [complex(h) for h in args.lambda_hint]
-
-
 def _cmd_analyze(args) -> int:
     tol = _tol(args)
     scenario = load_scenario(args.scenario, tol)
-    rep = analyze_report(scenario, tol, _hints(args), args.allow_unstable)
+    rep = analyze_report(scenario, tol, args.lambda_hint, args.allow_unstable)
     print(rep.render(), end="")
     return 0
 
@@ -66,15 +60,14 @@ def _cmd_synthesize(args) -> int:
     sys = scenario.system
     horizon = args.horizon if args.horizon is not None else 2 * sys.n
     if args.kind == "zero-dynamics":
-        modes = find_zero_dynamics_modes(sys, tol, _hints(args), args.allow_unstable)
+        modes = find_zero_dynamics_modes(sys, tol, args.lambda_hint, args.allow_unstable)
         attack = zero_dynamics_attack(modes[0], horizon, args.scale)
     elif args.kind == "zero-state":
         attack = zero_state_synthesize(sys, horizon, tol, args.scale)
     elif args.kind == "from-theta":
         if args.theta is None:
             raise LtisecError("--theta is required for kind from-theta")
-        theta = np.array([float(x) for x in args.theta.split(",")])
-        attack = undetectable_from_theta(sys, scenario.side, theta, horizon, tol)
+        attack = undetectable_from_theta(sys, scenario.side, args.theta.split(","), horizon, tol)
     else:  # extend
         if args.attack is None:
             raise LtisecError("--attack is required for kind extend")
@@ -164,8 +157,17 @@ def _cmd_repro_aircraft(args) -> int:
     return 0 if rep.passed else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1, since exit 2 reports a
+    detection; subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ltisec",
         description="stealthy-attack analysis, synthesis, and detection for "
         "discrete-time linear systems",
@@ -178,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="subspace dimensions and attack existence")
     common(p)
-    p.add_argument("--lambda-hint", action="append", default=[], help=_HINT_HELP)
+    p.add_argument("--lambda-hint", action="append", type=complex, default=[], help=_HINT_HELP)
     p.add_argument("--allow-unstable", action="store_true", help="keep modes with |lambda| > 1")
     p.set_defaults(func=_cmd_analyze)
 
@@ -188,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["zero-dynamics", "zero-state", "from-theta", "extend"])
     p.add_argument("--horizon", type=int, default=None, help="attack horizon T")
     p.add_argument("--scale", type=float, default=1.0, help="attack magnitude")
-    p.add_argument("--lambda-hint", action="append", default=[], help=_HINT_HELP)
+    p.add_argument("--lambda-hint", action="append", type=complex, default=[], help=_HINT_HELP)
     p.add_argument("--allow-unstable", action="store_true", help="keep modes with |lambda| > 1")
     p.add_argument("--theta", default=None, help="comma-separated initial-state shift")
     p.add_argument("--attack", default=None, help="attack JSON file (kind extend)")
@@ -228,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LtisecError, ValueError, OSError) as exc:
+    except (LtisecError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

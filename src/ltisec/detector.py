@@ -67,20 +67,16 @@ class Decision(str, Enum):
 @dataclass(frozen=True)
 class DetectorConfig:
     """Window length, tolerances, and side information for one detector;
-    configs compare and hash by these values."""
+    configs compare and hash by these values.  A window shorter than n + 1
+    loses detection power and raises ``HorizonTooShort``."""
 
     window_len_l: int
     omega: SideInformation
     tol: Tol = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "window_len_l", _as_count(self.window_len_l, "window_len_l"))
-        n = self.omega.n
-        if self.window_len_l < n + 1:
-            raise ValueError(
-                f"window length {self.window_len_l} < n+1 = {n + 1}; shorter "
-                "windows lose detection power"
-            )
+        object.__setattr__(self, "window_len_l",
+                           _as_count(self.window_len_l, "window_len_l", least=self.omega.n + 1))
 
 
 @dataclass(frozen=True)
@@ -171,13 +167,13 @@ class DetectorSession:
         Raises
         ------
         DimensionMismatch
-            If the frame length is not p.
+            If the frame is not numeric, is ragged, or its length is not p.
         NonFinite
             If the window being decided holds NaN or an infinity, or its norm
             overflows: no epoch over it can be decided.  A frame pushed before
             the window first fills is reported at the first epoch, k = l-1.
         """
-        y = np.asarray(y, float).reshape(-1)
+        y = _as_floats("output frame", y).reshape(-1)
         # checked before the copy, which would broadcast a length-1 frame
         if y.shape[0] != self._p:
             raise DimensionMismatch(_FRAME_LENGTH.format(y.shape[0], self._p))

@@ -33,7 +33,7 @@ class RankDeficient(LtisecError):
 
 
 class HorizonTooShort(LtisecError):
-    """The attack horizon is too short for the requested analysis."""
+    """A horizon, window or step count below the least the operation accepts."""
 
 
 class NotUndetectable(LtisecError):

@@ -193,7 +193,7 @@ class AttackSequence:
 
     @classmethod
     def zeros(cls, s: int, horizon_t: int) -> "AttackSequence":
-        return cls(np.zeros((horizon_t + 1, s)))
+        return cls(np.zeros((_as_count(horizon_t, "horizon_t") + 1, s)))
 
     @property
     def s(self) -> int:
@@ -235,8 +235,6 @@ class Trajectory:
 def obs_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     """Extended observability matrix O_t = [C; CA; ...; CA^t], shape p(t+1) x n."""
     t = _as_count(t, "t")
-    if t < 0:
-        raise DimensionMismatch("horizon must be nonnegative")
     blocks = [sys.c]
     for _ in range(t):
         blocks.append(blocks[-1] @ sys.a)
@@ -273,8 +271,6 @@ def ctrl_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     ``ctrl_matrix(sys, t) @ E(t)``.
     """
     t = _as_count(t, "t")
-    if t < 0:
-        raise DimensionMismatch("horizon must be nonnegative")
     blocks = [sys.b]
     cur = sys.b
     for _ in range(t):

@@ -18,11 +18,15 @@ record and entry point calls them, and each error names the argument:
 * a vector of n numbers (``_as_vector``) is flattened; a NaN or infinite
   entry raises ``NonFinite``, any other length ``DimensionMismatch``
   ("x0 has length 3, expected 4");
+* a single number (``_as_scalar``), such as a tolerance or an attack scale,
+  is a 0-d array; any other shape raises ``DimensionMismatch``, NaN or an
+  infinity ``NonFinite``;
 * a count, that is a horizon, window length or step count (``_as_count``),
   is an int by ``operator.index``; 2.5 or "3" raises ``DimensionMismatch``.
-  Each caller keeps its own lower bound.
+  The rule owns the caller's lower bound: a count below it raises
+  ``HorizonTooShort`` ("t_prime is 6, must be at least 7").
 
-Under the first two, ``_finite`` converts to floats and rejects NaN and
+Under the first three, ``_finite`` converts to floats and rejects NaN and
 infinite entries; a value numpy cannot convert, such as a ragged nest of
 lists or a string, raises ``DimensionMismatch`` (``_as_floats``).
 ``_frozen`` takes the read-only copy that every record and every kept result
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, RankDeficient
+from .errors import DimensionMismatch, HorizonTooShort, LtisecError, NonFinite, RankDeficient
 
 __all__ = [
     "Tol",
@@ -50,31 +54,6 @@ __all__ = [
     "solve_min_norm",
     "feasible",
 ]
-
-
-@dataclass(frozen=True)
-class Tol:
-    """Tolerance knobs used by every numerical decision.
-
-    Parameters
-    ----------
-    rank_rel : float
-        Relative singular-value cutoff for rank decisions.
-    residual_rel : float
-        Relative residual cutoff for feasibility decisions.
-    """
-
-    rank_rel: float = 1e-10
-    residual_rel: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for name in ("rank_rel", "residual_rel"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {v}")
-
-
-DEFAULT_TOL = Tol()
 
 
 def _as_floats(name: str, m) -> np.ndarray:
@@ -120,12 +99,53 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
     return x
 
 
-def _as_count(value, name: str) -> int:
-    """The count rule: a horizon, window length or step count as an int."""
+def _as_scalar(value, name: str) -> float:
+    """The scalar rule: ``value`` as one finite float."""
+    x = _finite(name, value)
+    if x.ndim:
+        raise DimensionMismatch(f"{name} must be a single number, got shape {x.shape}")
+    return float(x)
+
+
+def _as_count(value, name: str, least: int = 0) -> int:
+    """The count rule: a horizon, window length or step count as an int of
+    at least ``least``."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise HorizonTooShort(f"{name} is {count}, must be at least {least}")
+    return count
+
+
+@dataclass(frozen=True)
+class Tol:
+    """Tolerance knobs used by every numerical decision.
+
+    Parameters
+    ----------
+    rank_rel : float
+        Relative singular-value cutoff for rank decisions.
+    residual_rel : float
+        Relative residual cutoff for feasibility decisions.
+
+    Each is one finite number (``_as_scalar``) strictly between 0 and 1, and
+    is kept as a float.
+    """
+
+    rank_rel: float = 1e-10
+    residual_rel: float = 1e-8
+
+    def __post_init__(self) -> None:
+        for name in ("rank_rel", "residual_rel"):
+            v = _as_scalar(getattr(self, name), name)
+            if not 0.0 < v < 1.0:
+                raise LtisecError(f"{name} must lie strictly between 0 and 1, got {v}")
+            object.__setattr__(self, name, v)
+
+
+DEFAULT_TOL = Tol()
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +173,7 @@ class SubspaceBasis:
         if b.shape[1]:
             gram = b.T @ b
             if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-10:
-                raise ValueError("basis columns are not orthonormal")
+                raise LtisecError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
     @property

@@ -16,7 +16,7 @@ from .analysis import certify_undetectable
 from .detector import Decision, DetectionTrace, DetectorConfig, run_detector
 from .errors import NoModes
 from .model import AttackSequence, SideInformation, simulate, validate
-from .numlin import Tol
+from .numlin import Tol, _as_scalar
 from .scenario import Scenario, aircraft_path, load_scenario
 from .subspaces import _null_omega_meet_v, _nulling_factors, weakly_unobservable, zero_state_attack_exists
 from .synthesis import find_zero_dynamics_modes
@@ -177,9 +177,10 @@ def repro_aircraft(
     side information never fires over the whole horizon; the detector with
     side information fires at its first decision epoch with a residual at
     least a thousand times the unattacked floor; the certificates agree
-    with both outcomes.
+    with both outcomes.  ``scale`` is one finite number.
     """
     tol = Tol(residual_rel=residual_rel)
+    scale = _as_scalar(scale, "scale")
     scenario = load_scenario(aircraft_path(), tol)
     sys = scenario.system
     attack = _aircraft_attack(scale)

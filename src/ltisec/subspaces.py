@@ -122,10 +122,9 @@ def output_nulling_reachable(sys: LtiSystem, k: int, tol: Tol = DEFAULT_TOL) -> 
     (append a step of the nulling input), so W_{k+1} is W_k plus the part of
     that image off W_k, projected twice to keep the basis orthonormal and cut
     at ||[A B]||_2.  A step that adds nothing has reached the fixed point.
+    A ``k`` below 1 raises ``HorizonTooShort``.
     """
-    k = _as_count(k, "k")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _as_count(k, "k", least=1)
     w = orth_columns(sys.b @ _nulling_factors(sys, tol)[0][1], tol).basis
     if k > 1:
         cd_norm = float(np.linalg.norm(np.hstack([sys.c, sys.d]), 2))

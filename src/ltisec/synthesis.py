@@ -26,7 +26,7 @@ from .analysis import (UndetectabilityCertificate, _admissible, _nulls_from, _re
                        extension_verdict)
 from .errors import NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
 from .model import AttackSequence, LtiSystem, SideInformation, _same_state
-from .numlin import DEFAULT_TOL, Tol, _as_count, _as_vector, _finite, above_cut, feasible, rank_cut
+from .numlin import DEFAULT_TOL, Tol, _as_count, _as_scalar, _as_vector, above_cut, feasible, rank_cut
 from .subspaces import _nulling_factors, weakly_unobservable
 
 __all__ = [
@@ -221,13 +221,11 @@ def zero_dynamics_attack(mode: ZeroDynamicsMode, t: int, scale: float = 1.0) -> 
     """Frames a(k) = scale * Re(lambda^k g) for k = 0..t.
 
     Real modes give exactly the geometric sequence; conjugate-pair modes
-    give its real canonical form.  A NaN or infinite ``scale`` raises
-    ``NonFinite``.
+    give its real canonical form.  ``scale`` is one number: NaN or an
+    infinity raises ``NonFinite``, an array ``DimensionMismatch``.
     """
     t = _as_count(t, "t")
-    if t < 0:
-        raise ValueError("horizon must be nonnegative")
-    _finite("scale", scale)
+    scale = _as_scalar(scale, "scale")
     powers = mode.lam ** np.arange(t + 1)
     frames = scale * np.real(np.outer(powers, mode.g))
     return AttackSequence(frames)
@@ -296,15 +294,17 @@ def zero_state_synthesize(
 
     Raises
     ------
+    HorizonTooShort
+        If ``t`` is below 1.
     NonFinite
         If ``scale`` is NaN or infinite.
+    DimensionMismatch
+        If ``scale`` is not a single number.
     NotSynthesizable
         If no such first frame exists, or the frames overflow.
     """
-    t = _as_count(t, "t")
-    if t < 1:
-        raise ValueError("horizon must be at least 1")
-    _finite("scale", scale)
+    t = _as_count(t, "t", least=1)
+    scale = _as_scalar(scale, "scale")
     gain, free = _nulling_factors(sys, tol)[-1]
     if free.shape[1] == 0:
         raise NotSynthesizable("one-step output-nulling image does not meet the "
@@ -390,14 +390,14 @@ def extend_attack(
 
     Raises
     ------
+    HorizonTooShort
+        If ``t_prime`` does not exceed the attack horizon.
     NotUndetectable
         If the certificate reports a detectable attack, or carries no theta.
     NotExtensible
         If no undetectable extension exists at this horizon.
     """
-    t_prime = _as_count(t_prime, "t_prime")
-    if t_prime <= attack.horizon_t:
-        raise ValueError("t_prime must exceed the attack horizon")
+    t_prime = _as_count(t_prime, "t_prime", least=attack.horizon_t + 1)
     verdict = extension_verdict(sys, omega, attack, cert, tol)
     if not verdict.extensible_forever:
         raise NotExtensible("the attack parks the shifted state outside the "

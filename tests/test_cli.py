@@ -211,7 +211,8 @@ def test_from_theta_requires_theta(aircraft_file, capsys):
 
 @pytest.mark.parametrize("theta, message", [("1,0,0", "theta has length 3, expected 4"),
                                             ("0,nan,0,0", "NaN or infinite"),
-                                            ("0,inf,0,0", "NaN or infinite")])
+                                            ("0,inf,0,0", "NaN or infinite"),
+                                            ("1,x,0,0", "theta is not a numeric array")])
 def test_from_theta_rejects_malformed_theta(aircraft_file, capsys, theta, message):
     code, out, err = run_cli(capsys, "synthesize", "--scenario", aircraft_file,
                              "--kind", "from-theta", "--horizon", "8", "--theta", theta)
@@ -248,6 +249,50 @@ def test_certify_attack_whose_norm_overflows_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: the scale of a feasibility decision is not finite (a norm overflowed)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--scenario", "AIRCRAFT", "--log", "log.jsonl", "--windw", "5"],
+    ["certify", "--scenario", "AIRCRAFT", "--tol", "abc"],
+    ["analyze", "--scenario", "AIRCRAFT", "--lambda-hint", "abc"],
+    [],
+], ids=["unknown_option", "bad_tol", "bad_lambda_hint", "no_command"])
+def test_a_usage_error_exits_1(aircraft_file, capsys, argv):
+    # exit 2 reports a detection, so argparse's usage exit must not reach it
+    with pytest.raises(SystemExit) as exited:
+        main([aircraft_file if a == "AIRCRAFT" else a for a in argv])
+    assert exited.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: ltisec") and lines[-1].startswith("ltisec")
+    assert ": error: " in lines[-1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"]], ids=["top", "subcommand"])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ltisec")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "--scenario", "AIRCRAFT", "--log", "log.jsonl", "--window", "4"],
+     "window_len_l is 4, must be at least 5"),
+    (["synthesize", "--scenario", "AIRCRAFT", "--kind", "zero-state", "--horizon", "0"],
+     "t is 0, must be at least 1"),
+    (["simulate", "--scenario", "NOATTACK", "--horizon", "-2"], "horizon_t is -2, must be at least 0"),
+    (["repro-aircraft", "--tol", "2"], "residual_rel must lie strictly between 0 and 1, got 2.0"),
+], ids=["window", "horizon", "zero_attack_horizon", "tol"])
+def test_a_refused_count_or_tolerance_exits_1(aircraft_file, tmp_path, capsys, argv, message):
+    # each is an LtisecError, the one family main catches besides OSError;
+    # simulate reads --horizon only for a scenario without an attack
+    obj = json.loads(Path(aircraft_file).read_text())
+    del obj["attack"]
+    (tmp_path / "no_attack.json").write_text(json.dumps(obj))
+    files = {"AIRCRAFT": aircraft_file, "NOATTACK": str(tmp_path / "no_attack.json")}
+    code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_missing_scenario_file(capsys):

@@ -12,6 +12,7 @@ from ltisec import (
     DetectorConfig,
     DetectorSession,
     DimensionMismatch,
+    HorizonTooShort,
     LtiSystem,
     NonFinite,
     RankDeficient,
@@ -231,7 +232,7 @@ def test_sliding_window_matches_full_projection(rng):
 
 
 def test_window_shorter_than_state_rejected(aircraft_side):
-    with pytest.raises(ValueError):
+    with pytest.raises(HorizonTooShort, match=r"^window_len_l is 4, must be at least 5$"):
         DetectorConfig(window_len_l=4, omega=aircraft_side, tol=Tol())
 
 
@@ -478,7 +479,8 @@ def test_run_detector_takes_any_sequence_of_frames(aircraft_sys, aircraft_side):
         assert run_detector(aircraft_sys, cfg, traj.side_value, outputs).epochs == streamed
 
 
-@pytest.mark.parametrize("frame", [np.array([1.0]), 2.0, np.ones(4)], ids=["len1", "scalar", "len4"])
+@pytest.mark.parametrize("frame", [np.array([1.0]), 2.0, np.ones(4), "x", [1, [2], 3]],
+                         ids=["len1", "scalar", "len4", "string", "ragged"])
 @pytest.mark.parametrize("k_bad", [0, 2, 7])
 def test_run_detector_rejects_a_frame_as_push_does(aircraft_sys, aircraft_side, frame, k_bad):
     # a frame that push refuses must not broadcast into p columns: frames of
@@ -492,7 +494,7 @@ def test_run_detector_rejects_a_frame_as_push_does(aircraft_sys, aircraft_side, 
         run_detector(aircraft_sys, cfg, traj.side_value, outputs)
     # a log of such frames, all alike, is no (N, p) array either, nor is a
     # column of frames
-    for alike in (np.array([frame] * 13), traj.outputs[:, :, None]):
+    for alike in ([frame] * 13, traj.outputs[:, :, None]):
         with pytest.raises(DimensionMismatch):
             run_detector(aircraft_sys, cfg, traj.side_value, alike)
 

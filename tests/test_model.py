@@ -14,8 +14,10 @@ from ltisec import (
     DetectorSession,
     DimensionMismatch,
     EpochDecision,
+    HorizonTooShort,
     LtiSystem,
     NonFinite,
+    NotUndetectable,
     SideInformation,
     Tol,
     Trajectory,
@@ -328,27 +330,53 @@ def test_a_vector_of_the_wrong_length_is_named(aircraft):
         DetectorSession(sys, DetectorConfig(5, side), np.zeros(2))
 
 
-@pytest.mark.parametrize("name, value, call", [
-    ("t", 2.5, lambda sc, v: zero_dynamics_attack(_aircraft_mode(sc), v)),
-    ("t", 2.5, lambda sc, v: zero_state_synthesize(sc.system, v)),
-    ("t", 10.5, lambda sc, v: undetectable_from_theta(sc.system, sc.side, np.zeros(4), v)),
-    ("t_prime", 40.5, lambda sc, v: extend_attack(
+# every call that takes a count: its name, a non-integer, and the least
+# count it accepts on the bundled aircraft (n = 4, attack horizon 30)
+_COUNTS = {
+    "zero_dynamics_attack": ("t", 2.5, 0, lambda sc, v: zero_dynamics_attack(_aircraft_mode(sc), v)),
+    "zero_state_synthesize": ("t", 2.5, 1, lambda sc, v: zero_state_synthesize(sc.system, v)),
+    "undetectable_from_theta": ("t", 10.5, 3, lambda sc, v: undetectable_from_theta(
+        sc.system, sc.side, np.zeros(4), v)),
+    "extend_attack": ("t_prime", 40.5, 31, lambda sc, v: extend_attack(
         sc.system, sc.side, sc.attack, certify_undetectable(sc.system, sc.side, sc.attack), v)),
-    ("t", 2.5, lambda sc, v: obs_matrix(sc.system, v)),
-    ("t", 2.5, lambda sc, v: io_matrix(sc.system, v)),
-    ("t", 2.5, lambda sc, v: ctrl_matrix(sc.system, v)),
-    ("k", 2.5, lambda sc, v: output_nulling_reachable(sc.system, v)),
-    ("window_len_l", 5.5, lambda sc, v: DetectorConfig(v, sc.side)),
-    ("t", "30", lambda sc, v: zero_state_synthesize(sc.system, v)),
-    ("t", 30.0, lambda sc, v: zero_dynamics_attack(_aircraft_mode(sc), v)),
-], ids=["zero_dynamics_attack", "zero_state_synthesize", "undetectable_from_theta",
-        "extend_attack", "obs_matrix", "io_matrix", "ctrl_matrix", "output_nulling_reachable",
-        "DetectorConfig", "string", "integral_float"])
+    "obs_matrix": ("t", 2.5, 0, lambda sc, v: obs_matrix(sc.system, v)),
+    "io_matrix": ("t", 2.5, 0, lambda sc, v: io_matrix(sc.system, v)),
+    "ctrl_matrix": ("t", 2.5, 0, lambda sc, v: ctrl_matrix(sc.system, v)),
+    "output_nulling_reachable": ("k", 2.5, 1, lambda sc, v: output_nulling_reachable(sc.system, v)),
+    "DetectorConfig": ("window_len_l", 5.5, 5, lambda sc, v: DetectorConfig(v, sc.side)),
+    "AttackSequence.zeros": ("horizon_t", 2.5, 0, lambda sc, v: AttackSequence.zeros(sc.system.s, v)),
+}
+
+
+@pytest.mark.parametrize("name, value, call", [
+    (name, value, call) for name, value, _, call in _COUNTS.values()
+] + [
+    ("t", "30", _COUNTS["zero_state_synthesize"][3]),
+    ("t", 30.0, _COUNTS["zero_dynamics_attack"][3]),
+], ids=[*_COUNTS, "string", "integral_float"])
 def test_a_non_integer_count_is_refused(aircraft, name, value, call):
     # 2.5 used to give a T = 3 attack, a TypeError or, for a window, a
     # config that every session refused
     with pytest.raises(DimensionMismatch, match=f"^{name} must be an integer, got {value!r}$"):
         call(aircraft, value)
+
+
+@pytest.mark.parametrize("name, least, call", [
+    (name, least, call) for name, _, least, call in _COUNTS.values()
+], ids=list(_COUNTS))
+def test_a_count_below_its_least_is_refused(aircraft, name, least, call):
+    # the count rule owns every lower bound; certification keeps the
+    # paper's T >= n-1 message
+    with pytest.raises(HorizonTooShort) as refused:
+        call(aircraft, least - 1)
+    assert str(refused.value) in (f"{name} is {least - 1}, must be at least {least}",
+                                  f"horizon {least - 1} < {least}; undetectability needs T >= n-1")
+    try:
+        call(aircraft, least)
+    except NotUndetectable:
+        # past the count, the bundled 4-digit attack is refused as detectable
+        # at the default tolerance
+        assert name == "t_prime"
 
 
 def test_an_integer_count_of_any_integer_type_is_an_int(aircraft):

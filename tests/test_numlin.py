@@ -8,6 +8,7 @@ from ltisec import (
     DetectorSession,
     DimensionMismatch,
     LtiSystem,
+    LtisecError,
     NonFinite,
     RankDeficient,
     SideInformation,
@@ -196,14 +197,33 @@ def test_solve_min_norm_shape_mismatch():
 
 
 def test_tol_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(LtisecError, match="^rank_rel must lie strictly between 0 and 1"):
         Tol(rank_rel=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(LtisecError, match="^residual_rel must lie strictly between 0 and 1"):
         Tol(residual_rel=1.5)
 
 
+@pytest.mark.parametrize("field, value, refusal, message", [
+    ("rank_rel", "x", DimensionMismatch, "rank_rel is not a numeric array"),
+    ("residual_rel", [1e-8], DimensionMismatch, r"residual_rel must be a single number, got shape \(1,\)$"),
+    ("residual_rel", np.nan, NonFinite, "residual_rel contains NaN or infinite entries$"),
+    ("rank_rel", 2.0, LtisecError, "rank_rel must lie strictly between 0 and 1, got 2.0$"),
+], ids=["string", "list", "nan", "two"])
+def test_tol_refuses_what_is_not_a_number_in_the_unit_interval(field, value, refusal, message):
+    # a string used to escape as TypeError, an out-of-range value as ValueError
+    with pytest.raises(refusal, match=f"^{message}"):
+        Tol(**{field: value})
+
+
+def test_tol_keeps_its_values_as_floats():
+    tol = Tol(rank_rel=np.float32(0.5), residual_rel=np.array(1e-6))
+    assert type(tol.rank_rel) is float and type(tol.residual_rel) is float
+    assert tol == Tol(rank_rel=0.5, residual_rel=1e-6)
+    assert hash(tol) == hash(Tol(rank_rel=0.5, residual_rel=1e-6))
+
+
 def test_subspace_basis_rejects_skewed_columns():
-    with pytest.raises(ValueError):
+    with pytest.raises(LtisecError, match="^basis columns are not orthonormal$"):
         SubspaceBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import ltisec.subspaces
 
 from ltisec import (
+    HorizonTooShort,
     LtiSystem,
     SideInformation,
     Tol,
@@ -260,7 +261,7 @@ def test_wk_stops_at_its_fixed_point(monkeypatch):
 
 
 def test_output_nulling_reachable_rejects_bad_horizon(aircraft_sys):
-    with pytest.raises(ValueError):
+    with pytest.raises(HorizonTooShort, match=r"^k is 0, must be at least 1$"):
         output_nulling_reachable(aircraft_sys, 0)
 
 

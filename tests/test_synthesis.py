@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -329,6 +330,18 @@ def test_synthesis_rejects_a_non_finite_scale(aircraft_sys, scale):
         zero_state_synthesize(aircraft_sys, 8, scale=scale)
 
 
+@pytest.mark.parametrize("scale", [[1, 2, 3, 4], np.ones((5, 4))], ids=["per_channel", "per_entry"])
+def test_synthesis_rejects_a_scale_that_is_not_one_number(aircraft_sys, scale):
+    # such a scale used to scale each channel or entry, or to let numpy's
+    # untyped errors escape
+    mode = find_zero_dynamics_modes(aircraft_sys, lambda_hints=[AIR_LAMBDA])[0]
+    message = rf"^scale must be a single number, got shape {re.escape(str(np.shape(scale)))}$"
+    with pytest.raises(DimensionMismatch, match=message):
+        zero_dynamics_attack(mode, 8, scale)
+    with pytest.raises(DimensionMismatch, match=message):
+        zero_state_synthesize(aircraft_sys, 8, scale=scale)
+
+
 def test_extend_zero_attack(aircraft_sys, aircraft_side):
     attack = AttackSequence.zeros(4, 6)
     cert = certify_undetectable(aircraft_sys, aircraft_side, attack)
@@ -404,7 +417,7 @@ def test_extend_rejects_terminal_kernel_pulse(aircraft_sys, aircraft_side):
 def test_extend_requires_longer_horizon(aircraft_sys, aircraft_side):
     attack = AttackSequence.zeros(4, 6)
     cert = certify_undetectable(aircraft_sys, aircraft_side, attack)
-    with pytest.raises(ValueError):
+    with pytest.raises(HorizonTooShort, match=r"^t_prime is 6, must be at least 7$"):
         extend_attack(aircraft_sys, aircraft_side, attack, cert, 6)
 
 
@@ -849,6 +862,23 @@ def test_nonminimum_phase_extension_rejected(nonminimum_phase_plant, t_prime):
     longer = extend_attack(sys, no_info, attack, cert, 8)
     assert certify_undetectable(sys, no_info, longer).undetectable
     with pytest.raises(NotExtensible):
+        extend_attack(sys, no_info, attack, cert, t_prime)
+
+
+@pytest.mark.parametrize("scale, t_prime, refusal", [(1e150, 60, NotExtensible), (5.7e152, 3, NonFinite)],
+                         ids=["run_from_theta", "extension_verdict"])
+def test_nonminimum_phase_extension_overflow_is_refused_quietly(nonminimum_phase_plant, scale, t_prime,
+                                                                refusal):
+    # the run from theta overflows at the larger horizon, and the end state's
+    # norm at the larger scale; the suite turns numpy's overflow warning into
+    # an error, so only the typed refusal may reach the caller
+    sys = nonminimum_phase_plant
+    no_info = SideInformation.none(3)
+    mode = [m for m in find_zero_dynamics_modes(sys) if abs(m.lam - 4.5) < 1e-6][0]
+    attack = zero_dynamics_attack(mode, 2, scale=scale)
+    cert = certify_undetectable(sys, no_info, attack)
+    assert cert.undetectable
+    with pytest.raises(refusal):
         extend_attack(sys, no_info, attack, cert, t_prime)
 
 
