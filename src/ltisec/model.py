@@ -55,8 +55,9 @@ class LtiSystem:
     """The quadruple (A, B, C, D) with dimension accessors n, p, s, held as
     read-only copies so the results kept on it stay valid: the
     ``validate`` reports, the V-iterates and ker(Omega) meet V of
-    ``subspaces``, and the range bases of ``detector``.  A system compares
-    by identity, as the results it keeps are its own."""
+    ``subspaces``, the minimum-norm gains of ``synthesis`` and the range
+    bases of ``detector``.  A system compares by identity, as the results
+    it keeps are its own."""
 
     a: np.ndarray
     b: np.ndarray
@@ -92,15 +93,23 @@ class LtiSystem:
         return self.b.shape[1]
 
 
-def _memo(sys: LtiSystem, key, compute):
+def _memo(sys: LtiSystem, key, compute, extend=None):
     """The result kept on ``sys`` under ``key``, computed by
     ``compute()`` on first use.  A ``compute`` that raises keeps nothing, so
     the next call raises again.  Threads that race on one key both compute
-    it and keep one of two equal results."""
+    it and keep one of two equal results.
+
+    With ``extend``, the kept result r then passes through ``extend(r)``; a
+    new result it returns is kept in r's place and returned.  r is never
+    changed, so threads that race keep one of two results that agree
+    wherever both are defined."""
     kept = sys._factorizations
     if key not in kept:
         kept[key] = compute()
-    return kept[key]
+    result = kept[key]
+    if extend is not None and (grown := extend(result)) is not result:
+        kept[key] = result = grown
+    return result
 
 
 @dataclass(frozen=True)
@@ -193,7 +202,7 @@ class AttackSequence:
 
     @classmethod
     def zeros(cls, s: int, horizon_t: int) -> "AttackSequence":
-        return cls(np.zeros((_as_count(horizon_t, "horizon_t") + 1, s)))
+        return cls(np.zeros((_as_count(horizon_t, "horizon_t") + 1, _as_count(s, "s"))))
 
     @property
     def s(self) -> int:

@@ -18,17 +18,18 @@ record and entry point calls them, and each error names the argument:
 * a vector of n numbers (``_as_vector``) is flattened; a NaN or infinite
   entry raises ``NonFinite``, any other length ``DimensionMismatch``
   ("x0 has length 3, expected 4");
-* a single number (``_as_scalar``), such as a tolerance or an attack scale,
-  is a 0-d array; any other shape raises ``DimensionMismatch``, NaN or an
-  infinity ``NonFinite``;
-* a count, that is a horizon, window length or step count (``_as_count``),
-  is an int by ``operator.index``; 2.5 or "3" raises ``DimensionMismatch``.
-  The rule owns the caller's lower bound: a count below it raises
-  ``HorizonTooShort`` ("t_prime is 6, must be at least 7").
+* a single number (``_as_scalar``), such as a tolerance, an attack scale
+  or, taken as complex, a lambda hint, is a 0-d array; any other shape
+  raises ``DimensionMismatch``, NaN or an infinity ``NonFinite``;
+* a count, that is a horizon, window length, step count or channel count
+  (``_as_count``), is an int by ``operator.index``; 2.5 or "3" raises
+  ``DimensionMismatch``.  The rule owns the caller's lower bound: a count
+  below it raises ``HorizonTooShort`` ("t_prime is 6, must be at least 7").
 
-Under the first three, ``_finite`` converts to floats and rejects NaN and
-infinite entries; a value numpy cannot convert, such as a ragged nest of
-lists or a string, raises ``DimensionMismatch`` (``_as_floats``).
+Under the first three, ``_finite`` converts to floats (complex for a lambda
+hint) and rejects NaN and infinite entries; a value numpy cannot convert,
+such as a ragged nest of lists or a string, raises ``DimensionMismatch``
+(``_as_floats``).
 ``_frozen`` takes the read-only copy that every record and every kept result
 holds.
 """
@@ -56,19 +57,20 @@ __all__ = [
 ]
 
 
-def _as_floats(name: str, m) -> np.ndarray:
-    """``m`` as a float array, or ``DimensionMismatch`` if numpy cannot
-    convert it: a ragged nest of lists, a string or another object."""
+def _as_floats(name: str, m, kind=float) -> np.ndarray:
+    """``m`` as an array of ``kind``, float or complex, or
+    ``DimensionMismatch`` if numpy cannot convert it: a ragged nest of
+    lists, a string or another object."""
     try:
-        return np.asarray(m, dtype=float)
+        return np.asarray(m, dtype=kind)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"{name} is not a numeric array: {exc}") from exc
 
 
-def _finite(name: str, m) -> np.ndarray:
-    """``m`` as a float array (``_as_floats``), or ``NonFinite`` if it holds
-    NaN or infinity."""
-    m = _as_floats(name, m)
+def _finite(name: str, m, kind=float) -> np.ndarray:
+    """``m`` as an array of ``kind`` (``_as_floats``), or ``NonFinite`` if
+    it holds NaN or infinity."""
+    m = _as_floats(name, m, kind)
     if m.size and not np.all(np.isfinite(m)):
         raise NonFinite(f"{name} contains NaN or infinite entries")
     return m
@@ -99,17 +101,18 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
     return x
 
 
-def _as_scalar(value, name: str) -> float:
-    """The scalar rule: ``value`` as one finite float."""
-    x = _finite(name, value)
+def _as_scalar(value, name: str, kind=float):
+    """The scalar rule: ``value`` as one finite number of ``kind``, float or
+    complex."""
+    x = _finite(name, value, kind)
     if x.ndim:
         raise DimensionMismatch(f"{name} must be a single number, got shape {x.shape}")
-    return float(x)
+    return kind(x)
 
 
 def _as_count(value, name: str, least: int = 0) -> int:
-    """The count rule: a horizon, window length or step count as an int of
-    at least ``least``."""
+    """The count rule: a horizon, window length, step count or channel count
+    as an int of at least ``least``."""
     try:
         count = operator.index(value)
     except TypeError:

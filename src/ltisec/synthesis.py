@@ -25,8 +25,9 @@ import numpy as np
 from .analysis import (UndetectabilityCertificate, _admissible, _nulls_from, _require_horizon,
                        extension_verdict)
 from .errors import NoModes, NotExtensible, NotSynthesizable, ThetaNotFeasible
-from .model import AttackSequence, LtiSystem, SideInformation, _same_state
-from .numlin import DEFAULT_TOL, Tol, _as_count, _as_scalar, _as_vector, above_cut, feasible, rank_cut
+from .model import AttackSequence, LtiSystem, SideInformation, _memo, _same_state
+from .numlin import (DEFAULT_TOL, Tol, _as_count, _as_scalar, _as_vector, _frozen, above_cut, feasible,
+                     rank_cut)
 from .subspaces import _nulling_factors, weakly_unobservable
 
 __all__ = [
@@ -157,10 +158,9 @@ def _scanned_modes(sys: LtiSystem, lams: list[complex], basis: np.ndarray, gain:
     return modes
 
 
-def _candidate_lambdas(sys: LtiSystem, lambda_hints: list[complex] | None) -> list[complex]:
+def _candidate_lambdas(sys: LtiSystem, hints: list[complex]) -> list[complex]:
     """Hints and eig(A), folded onto the closed upper half plane and merged."""
-    cands = [complex(h) for h in (lambda_hints or [])]
-    cands += [complex(l) for l in np.linalg.eigvals(sys.a)]
+    cands = hints + [complex(l) for l in np.linalg.eigvals(sys.a)]
     folded = [lam if lam.imag >= 0 else lam.conjugate()
               for lam in _real_if_noise(np.array(cands, dtype=complex)).tolist()]
     folded.sort(key=lambda z: (z.real, z.imag))
@@ -191,16 +191,21 @@ def find_zero_dynamics_modes(
 
     Raises
     ------
+    DimensionMismatch
+        If a hint is not one number.
+    NonFinite
+        If a hint is NaN or infinite.
     NoModes
         If V = {0} or no candidate produces a verified null vector.
     """
+    hints = [_as_scalar(h, "lambda hint", complex) for h in lambda_hints or []]
     v = weakly_unobservable(sys, tol)
     if v.dim == 0:
         raise NoModes("the weakly unobservable subspace is {0}")
     gain, null = _nulling_factors(sys, tol)[-1]
     abar = v.basis.T @ (sys.a + sys.b @ gain) @ v.basis
     if null.shape[1]:
-        lams = [lam for lam in _candidate_lambdas(sys, lambda_hints)
+        lams = [lam for lam in _candidate_lambdas(sys, hints)
                 if allow_unstable or abs(lam) <= 1.0 + tol.residual_rel]
         found = _scanned_modes(sys, lams, v.basis, gain, null, abar, tol)
     else:
@@ -231,6 +236,42 @@ def zero_dynamics_attack(mode: ZeroDynamicsMode, t: int, scale: float = 1.0) -> 
     return AttackSequence(frames)
 
 
+def _backward(sys: LtiSystem, kept: tuple, t: int, tol: Tol) -> tuple:
+    """``kept``, the gains K_0..K_J and the cost-to-go P_{J+1} at which they
+    stop, extended by the backward pass of ``_nulling_frames`` through K_t;
+    ``kept`` itself where it holds K_t already or P overflowed (P is None).
+
+    An extension runs exactly steps J+1..t, so the first call on a plant
+    runs the t+1 steps of one horizon.  Some N_i has a column exactly when
+    N_0 = ker D does, since every [D; R_i B] is cut at ||[B; D]||_2, so
+    whether P is formed at all is a property of the plant.
+    """
+    gains, p = kept
+    if t < len(gains) or p is None:
+        return kept
+    a, b = sys.a, sys.b
+    nulling = _nulling_factors(sys, tol)
+    last = len(nulling) - 1
+    factors = [(gain, null, a + b @ gain, b @ null, np.eye(null.shape[1]))
+               for gain, null in nulling[: min(t, last) + 1]]
+    free = nulling[0][1].shape[1] > 0
+    new = np.empty((t + 1 - len(gains), sys.s, sys.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in enumerate(range(len(gains), t + 1)):
+            gain, null, closed, bn, eye = factors[min(j, last)]
+            if null.shape[1]:
+                pbn = p @ bn
+                z = np.linalg.solve(eye + bn.T @ pbn, pbn.T @ closed)
+                gain = gain - null @ z
+                closed = closed - bn @ z
+            if free:
+                p = closed.T @ p @ closed + gain.T @ gain
+                if not np.isfinite(p).all():
+                    return _frozen(np.concatenate([gains, new[:i]])), None
+            new[i] = gain
+    return _frozen(np.concatenate([gains, new])), _frozen(p)
+
+
 def _nulling_frames(sys: LtiSystem, x0: np.ndarray, t: int, tol: Tol) -> np.ndarray | None:
     """Minimum-norm frames a(0..t) that null the outputs y(0..t) of the
     recursion started at x0, or None on overflow.
@@ -246,35 +287,28 @@ def _nulling_frames(sys: LtiSystem, x0: np.ndarray, t: int, tol: Tol) -> np.ndar
     u = Gx + Nz with the factor (G, N) kept with V_{t-k} gives the gain
     K = G - N S^{-1} (BN)^T P (A + BG), S = I + (BN)^T P BN, since G x is
     orthogonal to range(N); then P <- (A+BK)^T P (A+BK) + K^T K, which
-    only free inputs read: if no factor in use has one, K = G and P is never
-    formed.  A forward pass a(k) = K_k x(k) yields the frames.  Nothing is
-    factorized here, so the cost is O(t (n+s)^3) time and O(t n s) memory.
+    only free inputs read: where ker D = {0}, K = G and P is never formed.
+
+    The gain K_j of j steps to go depends on j alone, not on x0 or t, so
+    the gains are kept on the plant per ``tol``, under ``("gains", tol)``,
+    as one read-only stack indexed by steps to go, with the cost-to-go at
+    which it stops (``_backward``): a longer horizon extends the stack from
+    there, a shorter one reads it.  If P overflows at step j, every horizon
+    from j on has no frames.  A forward pass a(k) = K_{t-k} x(k) yields the
+    frames, in O(t (n+s)^2) time on a kept stack; the backward pass costs
+    O((n+s)^3) per new step, and the stack O(t n s) memory.
     """
+    gains, _ = _memo(sys, ("gains", tol),
+                     lambda: (_frozen(np.empty((0, sys.s, sys.n))), _frozen(np.zeros((sys.n, sys.n)))),
+                     lambda kept: _backward(sys, kept, t, tol))
+    if t >= len(gains):  # P overflowed at step len(gains)
+        return None
     a, b = sys.a, sys.b
-    nulling = _nulling_factors(sys, tol)
-    last = len(nulling) - 1
-    factors = [(gain, null, a + b @ gain, b @ null, np.eye(null.shape[1]))
-               for gain, null in nulling[: min(t, last) + 1]]
-    free = any(null.shape[1] for _, null, *_ in factors)
-    gains = np.empty((t + 1, sys.s, sys.n))
-    p = np.zeros((sys.n, sys.n))
+    frames = np.empty((t + 1, sys.s))
+    x = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(t, -1, -1):
-            gain, null, closed, bn, eye = factors[min(t - k, last)]
-            if null.shape[1]:
-                pbn = p @ bn
-                z = np.linalg.solve(eye + bn.T @ pbn, pbn.T @ closed)
-                gain = gain - null @ z
-                closed = closed - bn @ z
-            if free:
-                p = closed.T @ p @ closed + gain.T @ gain
-                if not np.isfinite(p).all():
-                    return None
-            gains[k] = gain
-        frames = np.empty((t + 1, sys.s))
-        x = np.asarray(x0, dtype=float)
         for k in range(t + 1):
-            frames[k] = gains[k] @ x
+            frames[k] = gains[t - k] @ x
             x = a @ x + b @ frames[k]
     return frames if np.isfinite(frames).all() else None
 

@@ -301,7 +301,8 @@ def test_a_three_dimensional_array_is_refused(aircraft, name):
     ("x0", lambda sc: propagate(sc.system, [0.0, [1.0], 0.0, 0.0], sc.attack)),
     ("scale", lambda sc: zero_state_synthesize(sc.system, 8, scale="x")),
     ("theta", lambda sc: undetectable_from_theta(sc.system, sc.side, {"a": 1}, 8)),
-], ids=["frames", "B", "Omega", "x0", "scale", "theta"])
+    ("lambda hint", lambda sc: find_zero_dynamics_modes(sc.system, lambda_hints=["abc"])),
+], ids=["frames", "B", "Omega", "x0", "scale", "theta", "lambda_hint"])
 def test_a_ragged_or_non_numeric_array_is_refused(aircraft, name, build):
     with pytest.raises(DimensionMismatch, match=f"^{name} is not a numeric array"):
         build(aircraft)
@@ -345,6 +346,7 @@ _COUNTS = {
     "output_nulling_reachable": ("k", 2.5, 1, lambda sc, v: output_nulling_reachable(sc.system, v)),
     "DetectorConfig": ("window_len_l", 5.5, 5, lambda sc, v: DetectorConfig(v, sc.side)),
     "AttackSequence.zeros": ("horizon_t", 2.5, 0, lambda sc, v: AttackSequence.zeros(sc.system.s, v)),
+    "AttackSequence.zeros(s)": ("s", 2.5, 0, lambda sc, v: AttackSequence.zeros(v, 3)),
 }
 
 

@@ -148,6 +148,21 @@ def test_repeated_rows_plant_is_scanned(repeated_rows_plant):
         assert _pencil_residual_ok(sys, m)
 
 
+@pytest.mark.parametrize("hint, refusal, message", [
+    ([1, 2], DimensionMismatch, r"^lambda hint must be a single number, got shape \(2,\)$"),
+    (np.nan, NonFinite, "^lambda hint contains NaN or infinite entries$"),
+    (complex(0.5, np.inf), NonFinite, "^lambda hint contains NaN or infinite entries$"),
+], ids=["pair", "nan", "inf"])
+def test_a_hint_that_is_not_one_finite_number_is_refused(aircraft_sys, square_plant, hint, refusal,
+                                                         message):
+    # [1, 2] let complex()'s TypeError escape, and NaN or infinite hints were
+    # taken; the square plant, whose modes are eigenpairs and ignore hints,
+    # refuses them too
+    for sys in (aircraft_sys, square_plant):
+        with pytest.raises(refusal, match=message):
+            find_zero_dynamics_modes(sys, lambda_hints=[0.5, hint])
+
+
 def test_wide_unstable_candidate_filtered():
     wide = LtiSystem(a=np.diag([0.5, 0.3]), b=np.eye(2),
                      c=np.array([[1.0, 1.0]]), d=np.zeros((1, 2)))
@@ -548,6 +563,60 @@ def test_nulling_frames_without_free_inputs_skip_the_cost_to_go(shape, seed, t):
     assert np.array_equal(frames, _frames_with_cost_to_go(sys, x0, t))
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
+def test_kept_gains_give_every_horizon_the_reference_frames(shape, seed):
+    # the gains are kept per plant by steps to go and extended on demand, so
+    # horizons called in any order on one plant read one stack
+    rng = np.random.default_rng(seed)
+    sys = rand_shaped_system(rng, shape)
+    x0 = rng.standard_normal(sys.n)
+    for t in (40, 3, 41, 0, 80):
+        assert np.array_equal(_nulling_frames(sys, x0, t, Tol()), _frames_with_cost_to_go(sys, x0, t))
+
+
+def test_kept_gains_are_read_only(aircraft):
+    sys = LtiSystem(aircraft.system.a, aircraft.system.b, aircraft.system.c, aircraft.system.d)
+    for t in (5, 12):
+        _nulling_frames(sys, np.ones(sys.n), t, Tol())
+    gains, p = sys._factorizations[("gains", Tol())]
+    assert gains.shape == (13, sys.s, sys.n)
+    for kept in (gains, p):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1.0
+
+
+def test_a_cold_call_runs_one_backward_step_per_frame(monkeypatch):
+    # on a plant with free inputs every backward step makes one solve: a
+    # fresh plant runs t + 1 of them, a shorter horizon none, and a longer
+    # one only the steps past the kept stack
+    sys = rand_shaped_system(np.random.default_rng(3), "wide")
+    _nulling_factors(sys, Tol())
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves.append(args[0].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for t, steps in ((40, 41), (3, 0), (40, 0), (60, 20)):
+        solves.clear()
+        assert _nulling_frames(sys, np.ones(sys.n), t, Tol()) is not None
+        assert len(solves) == steps
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(shape=st.sampled_from(SHAPES + ("square",)), seed=st.integers(0, 2**32 - 1))
+def test_some_iterate_has_free_inputs_exactly_when_ker_d_does(shape, seed):
+    # every [D; R_i B] stacks a projection of B under D and is cut at
+    # ||[B; D]||_2, so whether the cost-to-go is formed is decided by N_0
+    rng = np.random.default_rng(seed)
+    sys = rand_system(rng) if shape == "square" else rand_shaped_system(rng, shape)
+    nulling = _nulling_factors(sys, Tol())
+    assert any(null.shape[1] for _, null in nulling) == (nulling[0][1].shape[1] > 0)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 36))
 def test_undetectable_from_theta_matches_dense_min_norm(shape, seed, extra):
@@ -880,6 +949,40 @@ def test_nonminimum_phase_extension_overflow_is_refused_quietly(nonminimum_phase
     assert cert.undetectable
     with pytest.raises(refusal):
         extend_attack(sys, no_info, attack, cert, t_prime)
+
+
+def _cost_to_go_overflow_step(sys):
+    """The first step at which the reference's cost-to-go is not finite."""
+    nulling = _nulling_factors(sys, Tol())
+    p = np.zeros((sys.n, sys.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(10_000):
+            gain, null = nulling[min(j, len(nulling) - 1)]
+            closed, bn = sys.a + sys.b @ gain, sys.b @ null
+            if null.shape[1]:
+                pbn = p @ bn
+                z = np.linalg.solve(np.eye(null.shape[1]) + bn.T @ pbn, pbn.T @ closed)
+                gain = gain - null @ z
+                closed = closed - bn @ z
+            p = closed.T @ p @ closed + gain.T @ gain
+            if not np.isfinite(p).all():
+                return j
+    raise AssertionError("the cost-to-go stays finite")
+
+
+@pytest.mark.parametrize("first", ["below", "at"])
+def test_kept_gains_keep_the_overflow_horizon(nonminimum_phase_plant, first):
+    # the cost-to-go overflows at step j: every horizon from j on has no
+    # frames, every shorter one has them, whichever is asked first
+    ref = nonminimum_phase_plant
+    j = _cost_to_go_overflow_step(ref)
+    sys = LtiSystem(a=ref.a, b=ref.b, c=ref.c, d=ref.d)
+    x0 = weakly_unobservable(sys).basis @ np.array([0.6, 0.8])
+    order = (j - 1, j, j + 5, 3) if first == "below" else (j + 5, j, j - 1, 3)
+    got = {t: _nulling_frames(sys, x0, t, Tol()) for t in order}
+    assert got[j] is None and got[j + 5] is None
+    for t in (3, j - 1):
+        assert np.array_equal(got[t], _frames_with_cost_to_go(sys, x0, t))
 
 
 def test_long_horizon_aircraft_synthesis(aircraft_sys):
