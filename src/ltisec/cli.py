@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line entry point, the one layer that reads text.
 
 Subcommands: analyze, synthesize, certify, simulate, detect, repro-aircraft.
 Exit codes: 0 clean/pass, 2 attack detected or certificate/expectation
@@ -8,6 +8,7 @@ mismatch, 1 usage and input errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys as _sys
 from pathlib import Path
 
@@ -18,47 +19,41 @@ from .detector import Decision, DetectorConfig, run_detector
 from .errors import LtisecError
 from .model import AttackSequence, simulate
 from .numlin import Tol
-from .reports import (
-    PRINT_PRECISION_REL,
-    Report,
-    analyze_report,
-    certify_report,
-    fmt,
-    repro_aircraft,
-    trace_series,
-    write_series_csv,
-)
+from .reports import (Report, analyze_report, certify_report, fmt, repro_aircraft, trace_series,
+                      write_series_csv)
 from .scenario import load_attack, load_log, load_scenario, save_attack, save_log
-from .synthesis import (
-    extend_attack,
-    find_zero_dynamics_modes,
-    undetectable_from_theta,
-    zero_dynamics_attack,
-    zero_state_synthesize,
-)
+from .synthesis import (extend_attack, find_zero_dynamics_modes, undetectable_from_theta,
+                        zero_dynamics_attack, zero_state_synthesize)
+
+# a number as float() reads it, less digit separators
+_NUMBER = re.compile(r"\s*[+-]?(\d+\.?\d*(e[+-]?\d+)?|\.\d+(e[+-]?\d+)?|nan|inf(inity)?)\s*", re.I)
 
 
-_HINT_HELP = ("candidate lambda (repeatable); used only where the pencil is scanned: "
-              "wide plants (s > p) and plants with redundant outputs")
+def _floats(text: str) -> list[float]:
+    """``--theta``: comma-separated numbers, as floats."""
+    bad = [x for x in text.split(",") if not _NUMBER.fullmatch(x)]
+    if bad:
+        raise argparse.ArgumentTypeError(f"theta is not a numeric array: {bad[0]!r} is not a number")
+    return [float(x) for x in text.split(",")]
 
 
-def _tol(args) -> Tol:
-    return Tol() if args.tol is None else Tol(residual_rel=args.tol)
+def _horizon(args, sys) -> int:
+    return 2 * sys.n if args.horizon is None else args.horizon
 
 
-def _cmd_analyze(args) -> int:
-    tol = _tol(args)
-    scenario = load_scenario(args.scenario, tol)
-    rep = analyze_report(scenario, tol, args.lambda_hint, args.allow_unstable)
-    print(rep.render(), end="")
+def _attack(args, scenario) -> AttackSequence | None:
+    """The attack of ``--attack``, else the scenario's, else None."""
+    return load_attack(args.attack, scenario.system.s) if args.attack else scenario.attack
+
+
+def _cmd_analyze(args, scenario, tol) -> int:
+    print(analyze_report(scenario, tol, args.lambda_hint, args.allow_unstable).render(), end="")
     return 0
 
 
-def _cmd_synthesize(args) -> int:
-    tol = _tol(args)
-    scenario = load_scenario(args.scenario, tol)
+def _cmd_synthesize(args, scenario, tol) -> int:
     sys = scenario.system
-    horizon = args.horizon if args.horizon is not None else 2 * sys.n
+    horizon = _horizon(args, sys)
     if args.kind == "zero-dynamics":
         modes = find_zero_dynamics_modes(sys, tol, args.lambda_hint, args.allow_unstable)
         attack = zero_dynamics_attack(modes[0], horizon, args.scale)
@@ -67,7 +62,7 @@ def _cmd_synthesize(args) -> int:
     elif args.kind == "from-theta":
         if args.theta is None:
             raise LtisecError("--theta is required for kind from-theta")
-        attack = undetectable_from_theta(sys, scenario.side, args.theta.split(","), horizon, tol)
+        attack = undetectable_from_theta(sys, scenario.side, args.theta, horizon, tol)
     else:  # extend
         if args.attack is None:
             raise LtisecError("--attack is required for kind extend")
@@ -83,31 +78,18 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _cmd_certify(args) -> int:
-    tol = _tol(args)
-    scenario = load_scenario(args.scenario, tol)
-    if args.attack:
-        attack = load_attack(args.attack, scenario.system.s)
-    elif scenario.attack is not None:
-        attack = scenario.attack
-    else:
+def _cmd_certify(args, scenario, tol) -> int:
+    attack = _attack(args, scenario)
+    if attack is None:
         raise LtisecError("no attack given: pass --attack or embed one in the scenario")
     rep, undetectable = certify_report(scenario, attack, tol)
     print(rep.render(), end="")
     return 0 if undetectable else 2
 
 
-def _cmd_simulate(args) -> int:
-    tol = _tol(args)
-    scenario = load_scenario(args.scenario, tol)
+def _cmd_simulate(args, scenario, tol) -> int:
     sys = scenario.system
-    if args.attack:
-        attack = load_attack(args.attack, sys.s)
-    elif scenario.attack is not None:
-        attack = scenario.attack
-    else:
-        horizon = args.horizon if args.horizon is not None else 2 * sys.n
-        attack = AttackSequence.zeros(sys.s, horizon)
+    attack = _attack(args, scenario) or AttackSequence.zeros(sys.s, _horizon(args, sys))
     x0 = scenario.x0 if scenario.x0 is not None else np.zeros(sys.n)
     traj = simulate(sys, x0, attack, scenario.side)
     if args.out:
@@ -120,9 +102,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_detect(args) -> int:
-    tol = _tol(args)
-    scenario = load_scenario(args.scenario, tol)
+def _cmd_detect(args, scenario, tol) -> int:
     sys = scenario.system
     window = args.window if args.window is not None else sys.n + 1
     config = DetectorConfig(window_len_l=window, omega=scenario.side, tol=tol)
@@ -143,11 +123,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_repro_aircraft(args) -> int:
-    rep = repro_aircraft(
-        window=args.window if args.window is not None else 5,
-        residual_rel=args.tol if args.tol is not None else PRINT_PRECISION_REL,
-        scale=args.scale,
-    )
+    # options left out are not in args (argparse.SUPPRESS): repro_aircraft's defaults hold
+    rep = repro_aircraft(**{k: v for k, v in vars(args).items() if k in ("window", "residual_rel", "scale")})
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -174,14 +151,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
-        p.add_argument("--scenario", required=scenario_required, help="scenario JSON file")
-        p.add_argument("--tol", type=float, default=None, help="residual tolerance")
+    def common(p, tol=True):
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="residual tolerance")
+
+    def modes(p):
+        p.add_argument("--lambda-hint", action="append", type=complex, default=[],
+                       help="candidate lambda (repeatable); used only where the pencil is scanned: "
+                       "wide plants (s > p) and plants with redundant outputs")
+        p.add_argument("--allow-unstable", action="store_true", help="keep modes with |lambda| > 1")
 
     p = sub.add_parser("analyze", help="subspace dimensions and attack existence")
     common(p)
-    p.add_argument("--lambda-hint", action="append", type=complex, default=[], help=_HINT_HELP)
-    p.add_argument("--allow-unstable", action="store_true", help="keep modes with |lambda| > 1")
+    modes(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="construct an attack sequence")
@@ -190,9 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["zero-dynamics", "zero-state", "from-theta", "extend"])
     p.add_argument("--horizon", type=int, default=None, help="attack horizon T")
     p.add_argument("--scale", type=float, default=1.0, help="attack magnitude")
-    p.add_argument("--lambda-hint", action="append", type=complex, default=[], help=_HINT_HELP)
-    p.add_argument("--allow-unstable", action="store_true", help="keep modes with |lambda| > 1")
-    p.add_argument("--theta", default=None, help="comma-separated initial-state shift")
+    modes(p)
+    p.add_argument("--theta", type=_floats, default=None, help="comma-separated initial-state shift")
     p.add_argument("--attack", default=None, help="attack JSON file (kind extend)")
     p.add_argument("--out", default=None, help="output attack JSON file")
     p.set_defaults(func=_cmd_synthesize)
@@ -203,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("simulate", help="run the recursion and write a log")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--attack", default=None, help="attack JSON file")
     p.add_argument("--horizon", type=int, default=None, help="horizon for the zero attack")
     p.add_argument("--out", default=None, help="output log file")
@@ -216,20 +198,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output trace CSV")
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("repro-aircraft", help="re-run the bundled aircraft experiment")
-    p.add_argument("--tol", type=float, default=None, help="detection tolerance")
-    p.add_argument("--window", type=int, default=None, help="window length l")
-    p.add_argument("--scale", type=float, default=10.0, help="attack magnitude")
+    p = sub.add_parser("repro-aircraft", help="re-run the bundled aircraft experiment",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--tol", dest="residual_rel", metavar="TOL", type=float, help="detection tolerance")
+    p.add_argument("--window", type=int, help="window length l")
+    p.add_argument("--scale", type=float, help="attack magnitude")
     p.add_argument("--out", default=None, help="directory for CSV series")
     p.set_defaults(func=_cmd_repro_aircraft)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "repro-aircraft":
+            return args.func(args)
+        tol = Tol() if getattr(args, "tol", None) is None else Tol(residual_rel=args.tol)
+        return args.func(args, load_scenario(args.scenario, tol), tol)
     except (LtisecError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -22,14 +22,16 @@ record and entry point calls them, and each error names the argument:
   or, taken as complex, a lambda hint, is a 0-d array; any other shape
   raises ``DimensionMismatch``, NaN or an infinity ``NonFinite``;
 * a count, that is a horizon, window length, step count or channel count
-  (``_as_count``), is an int by ``operator.index``; 2.5 or "3" raises
-  ``DimensionMismatch``.  The rule owns the caller's lower bound: a count
-  below it raises ``HorizonTooShort`` ("t_prime is 6, must be at least 7").
+  (``_as_count``), is an int by ``operator.index`` and not a boolean;
+  2.5, "3" or True raises ``DimensionMismatch``.  The rule owns the
+  caller's lower bound: a count below it raises ``HorizonTooShort``
+  ("t_prime is 6, must be at least 7").
 
 Under the first three, ``_finite`` converts to floats (complex for a lambda
-hint) and rejects NaN and infinite entries; a value numpy cannot convert,
-such as a ragged nest of lists or a string, raises ``DimensionMismatch``
-(``_as_floats``).
+hint) and rejects NaN and infinite entries.  The conversion, ``_as_floats``,
+decides by the kind of the data first: text, even "2", complex data where
+real numbers belong and a value numpy cannot convert, such as a ragged nest
+of lists, raise ``DimensionMismatch``.
 ``_frozen`` takes the read-only copy that every record and every kept result
 holds.
 """
@@ -58,13 +60,21 @@ __all__ = [
 
 
 def _as_floats(name: str, m, kind=float) -> np.ndarray:
-    """``m`` as an array of ``kind``, float or complex, or
-    ``DimensionMismatch`` if numpy cannot convert it: a ragged nest of
-    lists, a string or another object."""
+    """``m`` as an array of ``kind``, float or complex, decided by the kind
+    of its data first: text, complex data where real numbers belong and
+    what numpy cannot convert, such as a ragged nest of lists, raise
+    ``DimensionMismatch``.  A numeric ndarray pays the kind check alone."""
     try:
-        return np.asarray(m, dtype=kind)
+        a = m if isinstance(m, np.ndarray) else np.asarray(m)
+        held = a.dtype.kind
+        if held in "biuf" or held == "c" and kind is complex:  # booleans, integers, floats
+            return np.asarray(a, dtype=kind)
+        if held == "O" and not any(isinstance(x, (str, bytes)) for x in a.flat):
+            return np.asarray(a, dtype=kind)  # numbers numpy left untyped, such as a 400-digit int
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"{name} is not a numeric array: {exc}") from exc
+    what = "complex numbers" if held == "c" else "text" if held in "OSU" else f"{a.dtype} data"
+    raise DimensionMismatch(f"{name} is not a numeric array: it holds {what}")
 
 
 def _finite(name: str, m, kind=float) -> np.ndarray:
@@ -116,7 +126,9 @@ def _as_count(value, name: str, least: int = 0) -> int:
     try:
         count = operator.index(value)
     except TypeError:
-        raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
+        count = None
+    if count is None or isinstance(value, bool):  # operator.index takes True for 1
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
     if count < least:
         raise HorizonTooShort(f"{name} is {count}, must be at least {least}")
     return count
@@ -192,21 +204,22 @@ class SubspaceBasis:
         return cls(n, np.eye(n))
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``v`` onto the subspace."""
-        v = np.asarray(v, dtype=float)
-        if self.dim == 0:
-            return np.zeros_like(v)
+        """Orthogonal projection of ``v``, a vector or a matrix of
+        ``ambient_dim`` rows, onto the subspace; ``v`` must hold finite
+        numbers, else ``DimensionMismatch`` or ``NonFinite``."""
+        v = _finite("v", v)
+        if v.shape[:1] != (self.ambient_dim,):
+            raise DimensionMismatch(f"v has shape {v.shape}, expected {self.ambient_dim} rows")
         return self.basis @ (self.basis.T @ v)
 
     def residual_outside(self, v: np.ndarray) -> float:
-        """2-norm of the component of ``v`` orthogonal to the subspace."""
-        v = np.asarray(v, dtype=float)
+        """2-norm of the component of ``v`` orthogonal to the subspace;
+        ``project`` checks ``v``."""
         return float(np.linalg.norm(v - self.project(v)))
 
     def contains(self, v: np.ndarray, tol: Tol = DEFAULT_TOL) -> bool:
         """Thresholded membership test: ``feasible`` of the residual outside
         the subspace against ``||v||``."""
-        v = np.asarray(v, dtype=float)
         return feasible(self.residual_outside(v), float(np.linalg.norm(v)), tol)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import AssumptionViolated, DimensionMismatch, NonFinite, ParseError
 from .model import AttackSequence, LtiSystem, SideInformation, Trajectory, validate
-from .numlin import DEFAULT_TOL, Tol, _finite
+from .numlin import DEFAULT_TOL, Tol, _as_floats, _finite
 
 __all__ = [
     "Scenario",
@@ -50,9 +50,9 @@ class Scenario:
 
 def _matrix(raw, rows: int, cols: int, name: str) -> np.ndarray:
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{name} is not a numeric array: {exc}") from exc
+        arr = _as_floats(name, raw)
+    except DimensionMismatch as exc:
+        raise ParseError(str(exc)) from exc
     if arr.ndim == 1:
         if arr.size != rows * cols:
             raise DimensionMismatch(
@@ -77,8 +77,8 @@ def _integer(value, name: str) -> int:
 def _attack_from_obj(obj, s: int) -> AttackSequence:
     try:
         t = _integer(obj["T"], "attack T")
-        frames = np.asarray(obj["frames"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        frames = _as_floats("attack frames", obj["frames"])
+    except (KeyError, TypeError, DimensionMismatch) as exc:
         raise ParseError(f"malformed attack object: {exc}") from exc
     if frames.ndim != 2 or frames.shape != (t + 1, s):
         raise DimensionMismatch(
@@ -171,8 +171,8 @@ def load_log(path) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(f"log {path} is empty")
     try:
         header = json.loads(lines[0])
-        y_omega = np.asarray(header["y_omega"], dtype=float).reshape(-1)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        y_omega = _as_floats("y_omega", header["y_omega"]).reshape(-1)
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ParseError(f"log {path} lacks a y_omega header: {exc}") from exc
     if not np.all(np.isfinite(y_omega)):
         raise NonFinite(f"log {path} has a non-finite y_omega")
@@ -183,8 +183,8 @@ def load_log(path) -> tuple[np.ndarray, np.ndarray]:
             try:
                 rec = json.loads(ln)
                 ks.append(_integer(rec["k"], f"record index k in log {path}"))
-                ys.append(np.asarray(rec["y"], dtype=float).reshape(-1))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                ys.append(_as_floats("y", rec["y"]).reshape(-1))
+            except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
                 raise ParseError(f"malformed log record in {path}: {exc}") from exc
         lengths = sorted({y.shape[0] for y in ys})
         if len(lengths) > 1:
@@ -219,8 +219,8 @@ def _records_at_once(lines: list[str]) -> tuple[list[int], np.ndarray] | None:
     try:
         recs = json.loads(text)
         ks = [rec["k"] for rec in recs]
-        ys = np.array([rec["y"] for rec in recs], dtype=float).reshape(n, -1)
-    except (KeyError, TypeError, ValueError, OverflowError):
+        ys = _as_floats("y", [rec["y"] for rec in recs]).reshape(n, -1)
+    except (KeyError, TypeError, ValueError, DimensionMismatch):
         return None
     if len(ks) != n or not all(type(k) is int for k in ks):
         return None

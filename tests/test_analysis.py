@@ -309,6 +309,17 @@ def test_classify_oscillatory_mode(aircraft_sys, aircraft_side):
     assert cls.zero_dynamics_form == "pair"
 
 
+@pytest.mark.parametrize("frames, form", [
+    ([[1.0, 0.0]], "real"),
+    ([[1.0, 0.0], [0.0, 1.0]], None),
+], ids=["one_frame", "two_frames_turning"])
+def test_classify_short_attacks(frames, form):
+    # one frame is lambda^0 g for any lambda; two frames that turn fit no
+    # real ratio, and no conjugate pair is fitted to fewer than three
+    sys = LtiSystem(a=[[0.5]], b=[[1.0, 0.0]], c=[[1.0]], d=[[0.0, 1.0]])
+    assert classify(sys, SideInformation.none(1), AttackSequence(frames)).zero_dynamics_form == form
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_certificate_and_extension_match_oracles_moderate_horizon(shape):
     # horizons of 20-40 steps (8-12 for unstable A), side information of

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import ltisec
+import ltisec.cli
 from ltisec import Tol
 from ltisec.cli import main
+from ltisec.reports import fmt, repro_aircraft
 from ltisec.scenario import aircraft_path
 
 
@@ -19,7 +21,10 @@ def aircraft_file():
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exited:  # a usage error, reported by argparse
+        code = exited.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -256,7 +261,14 @@ def test_certify_attack_whose_norm_overflows_exits_1(tmp_path, capsys):
     ["certify", "--scenario", "AIRCRAFT", "--tol", "abc"],
     ["analyze", "--scenario", "AIRCRAFT", "--lambda-hint", "abc"],
     [],
-], ids=["unknown_option", "bad_tol", "bad_lambda_hint", "no_command"])
+    # simulate reads no residual threshold, so it takes no --tol
+    ["simulate", "--scenario", "AIRCRAFT", "--tol", "1e-3"],
+    # --theta is parsed into floats here, so no library call receives text
+    ["synthesize", "--scenario", "AIRCRAFT", "--kind", "from-theta", "--theta", "1,,0,0"],
+    ["synthesize", "--scenario", "AIRCRAFT", "--kind", "from-theta", "--theta", "1,0x1,0,0"],
+    ["synthesize", "--scenario", "AIRCRAFT", "--kind", "from-theta", "--theta", "1,2j,0,0"],
+], ids=["unknown_option", "bad_tol", "bad_lambda_hint", "no_command", "simulate_tol", "empty_theta_entry",
+        "hex_theta_entry", "complex_theta_entry"])
 def test_a_usage_error_exits_1(aircraft_file, capsys, argv):
     # exit 2 reports a detection, so argparse's usage exit must not reach it
     with pytest.raises(SystemExit) as exited:
@@ -410,3 +422,97 @@ def test_detect_log_with_an_integer_beyond_float_range_exits_1(aircraft_file, tm
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: malformed log record in {log_file}: ")
+
+
+def _no_attack_file(aircraft_file, tmp_path):
+    obj = json.loads(Path(aircraft_file).read_text())
+    del obj["attack"]
+    path = tmp_path / "no_attack.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_simulate_without_out_prints_the_log(aircraft_file, capsys):
+    # the same numbers as the golden log, at 12 significant digits
+    code, out, err = run_cli(capsys, "simulate", "--scenario", aircraft_file)
+    assert (code, err) == (0, "")
+    golden = [json.loads(ln) for ln in (Path(__file__).parent / "golden" / "simulate.jsonl").open()]
+    want = ["y_omega = " + " ".join(fmt(v) for v in golden[0]["y_omega"])]
+    want += [f"y({rec['k']}) = " + " ".join(fmt(v) for v in rec["y"]) for rec in golden[1:]]
+    assert out.splitlines() == want
+
+
+def test_simulate_without_an_attack_runs_the_zero_attack(aircraft_file, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", _no_attack_file(aircraft_file, tmp_path),
+                           "--horizon", "3")
+    assert code == 0
+    assert out.splitlines() == ["y_omega = 0"] + [f"y({k}) = 0 0 0" for k in range(4)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synthesize", "--scenario", "AIRCRAFT", "--kind", "extend"], "--attack is required for kind extend"),
+    (["certify", "--scenario", "NOATTACK"], "no attack given: pass --attack or embed one in the scenario"),
+], ids=["extend", "certify"])
+def test_a_missing_attack_exits_1(aircraft_file, tmp_path, capsys, argv, message):
+    files = {"AIRCRAFT": aircraft_file, "NOATTACK": _no_attack_file(aircraft_file, tmp_path)}
+    code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv, given", [
+    ([], {}),
+    (["--tol", "1e-2"], {"residual_rel": 1e-2}),
+    (["--window", "6", "--scale", "3"], {"window": 6, "scale": 3.0}),
+], ids=["none", "tol", "window_scale"])
+def test_repro_aircraft_passes_only_the_options_given(capsys, monkeypatch, argv, given):
+    # the defaults are repro_aircraft's own
+    calls = []
+
+    def recorded(**kwargs):
+        calls.append(kwargs)
+        return repro_aircraft(**kwargs)
+
+    monkeypatch.setattr(ltisec.cli, "repro_aircraft", recorded)
+    run_cli(capsys, "repro-aircraft", *argv)
+    assert calls == [given]
+
+
+def test_theta_reaches_the_library_as_floats(aircraft_file, capsys, monkeypatch):
+    received = []
+
+    def recorded(sys, side, theta, t, tol):
+        received.append(theta)
+        return ltisec.AttackSequence.zeros(sys.s, t)
+
+    monkeypatch.setattr(ltisec.cli, "undetectable_from_theta", recorded)
+    code, _, _ = run_cli(capsys, "synthesize", "--scenario", aircraft_file, "--kind", "from-theta",
+                         "--horizon", "3", "--theta=-1, 2.5e-1 ,.5,+3.")
+    assert code == 0
+    assert received == [[-1.0, 0.25, 0.5, 3.0]] and all(type(x) is float for x in received[0])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("Omega", [["1", "0", "0", "0"]], "error: Omega is not a numeric array: it holds text"),
+    ("x0", [0.0, 0.0, "0", 0.0], "error: x0 is not a numeric array: it holds text"),
+], ids=["Omega", "x0"])
+def test_a_scenario_with_numbers_as_strings_exits_1(aircraft_file, tmp_path, capsys, field, value,
+                                                    message):
+    obj = json.loads(Path(aircraft_file).read_text())
+    obj[field] = value
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "certify", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [message]
+
+
+def test_a_log_with_numbers_as_strings_exits_1(aircraft_file, tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    run_cli(capsys, "simulate", "--scenario", aircraft_file, "--out", str(log))
+    lines = log.read_text().splitlines()
+    lines[3] = json.dumps({"k": 2, "y": ["0", "0", "0"]})
+    log.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "detect", "--scenario", aircraft_file, "--log", str(log))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: malformed log record in {log}: y is not a numeric array: it holds text"]

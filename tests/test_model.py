@@ -84,6 +84,8 @@ def test_system_shape_checks():
         LtiSystem(a=np.eye(2), b=np.zeros((3, 1)), c=np.zeros((1, 2)), d=np.zeros((1, 1)))
     with pytest.raises(DimensionMismatch):
         LtiSystem(a=np.eye(2), b=np.zeros((2, 1)), c=np.zeros((1, 2)), d=np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch, match=r"^C must have 2 columns, got \(1, 3\)$"):
+        LtiSystem(a=np.eye(2), b=np.zeros((2, 1)), c=np.zeros((1, 3)), d=np.zeros((1, 1)))
 
 
 def test_obs_matrix_horizon_zero(aircraft_sys):
@@ -302,7 +304,21 @@ def test_a_three_dimensional_array_is_refused(aircraft, name):
     ("scale", lambda sc: zero_state_synthesize(sc.system, 8, scale="x")),
     ("theta", lambda sc: undetectable_from_theta(sc.system, sc.side, {"a": 1}, 8)),
     ("lambda hint", lambda sc: find_zero_dynamics_modes(sc.system, lambda_hints=["abc"])),
-], ids=["frames", "B", "Omega", "x0", "scale", "theta", "lambda_hint"])
+    # numbers written as text, which numpy would parse
+    ("scale", lambda sc: zero_state_synthesize(sc.system, 3, scale="2")),
+    ("Omega", lambda sc: SideInformation([["1", "0", "0", "0"]])),
+    ("theta", lambda sc: undetectable_from_theta(sc.system, sc.side, np.array(["0", "0", "0", "0"]), 8)),
+    ("lambda hint", lambda sc: find_zero_dynamics_modes(sc.system, lambda_hints=["0.9779"])),
+    ("output frame", lambda sc: DetectorSession(sc.system, DetectorConfig(5, sc.side), [0.0]).push(
+        ["1", "0", "0"])),
+    # complex data where real numbers belong: an array used to lose its
+    # imaginary part behind a ComplexWarning
+    ("Omega", lambda sc: SideInformation(np.array([[1 + 2j, 0, 0, 0]]))),
+    ("Omega", lambda sc: SideInformation([[1 + 2j, 0, 0, 0]])),
+    ("x0", lambda sc: propagate(sc.system, np.zeros(4, dtype=complex), sc.attack)),
+], ids=["frames", "B", "Omega", "x0", "scale", "theta", "lambda_hint", "scale_text", "Omega_text",
+        "theta_text", "lambda_hint_text", "output_frame_text", "Omega_complex_array", "Omega_complex_list",
+        "x0_complex"])
 def test_a_ragged_or_non_numeric_array_is_refused(aircraft, name, build):
     with pytest.raises(DimensionMismatch, match=f"^{name} is not a numeric array"):
         build(aircraft)
@@ -355,7 +371,11 @@ _COUNTS = {
 ] + [
     ("t", "30", _COUNTS["zero_state_synthesize"][3]),
     ("t", 30.0, _COUNTS["zero_dynamics_attack"][3]),
-], ids=[*_COUNTS, "string", "integral_float"])
+    # operator.index takes True for 1
+    ("t", True, _COUNTS["zero_state_synthesize"][3]),
+    ("s", True, _COUNTS["AttackSequence.zeros(s)"][3]),
+    ("s", np.True_, _COUNTS["AttackSequence.zeros(s)"][3]),
+], ids=[*_COUNTS, "string", "integral_float", "boolean", "boolean_s", "numpy_boolean"])
 def test_a_non_integer_count_is_refused(aircraft, name, value, call):
     # 2.5 used to give a T = 3 attack, a TypeError or, for a window, a
     # config that every session refused

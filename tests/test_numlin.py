@@ -22,6 +22,7 @@ from ltisec import (
     output_nulling_reachable,
     projector,
     solve_min_norm,
+    weakly_unobservable,
 )
 from ltisec.numlin import above_cut, rank_cut
 
@@ -32,6 +33,11 @@ def test_rank_identity():
 
 def test_rank_zero_matrix():
     assert numerical_rank(np.zeros((2, 2))) == 0
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_rank_of_an_empty_matrix_is_zero(shape):
+    assert numerical_rank(np.zeros(shape)) == 0
 
 
 def test_rank_aircraft_observability_stack(aircraft_sys):
@@ -208,7 +214,10 @@ def test_tol_validation():
     ("residual_rel", [1e-8], DimensionMismatch, r"residual_rel must be a single number, got shape \(1,\)$"),
     ("residual_rel", np.nan, NonFinite, "residual_rel contains NaN or infinite entries$"),
     ("rank_rel", 2.0, LtisecError, "rank_rel must lie strictly between 0 and 1, got 2.0$"),
-], ids=["string", "list", "nan", "two"])
+    ("rank_rel", "1e-9", DimensionMismatch, "rank_rel is not a numeric array: it holds text$"),
+    ("residual_rel", np.complex128(1e-8), DimensionMismatch,
+     "residual_rel is not a numeric array: it holds complex numbers$"),
+], ids=["string", "list", "nan", "two", "digits", "complex"])
 def test_tol_refuses_what_is_not_a_number_in_the_unit_interval(field, value, refusal, message):
     # a string used to escape as TypeError, an out-of-range value as ValueError
     with pytest.raises(refusal, match=f"^{message}"):
@@ -225,6 +234,36 @@ def test_tol_keeps_its_values_as_floats():
 def test_subspace_basis_rejects_skewed_columns():
     with pytest.raises(LtisecError, match="^basis columns are not orthonormal$"):
         SubspaceBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_subspace_basis_rejects_a_basis_of_other_rows():
+    with pytest.raises(DimensionMismatch, match=r"^basis shape \(4, 0\) does not match ambient dim 3$"):
+        SubspaceBasis(3, np.zeros((4, 0)))
+
+
+@pytest.mark.parametrize("method", ["project", "residual_outside", "contains"])
+@pytest.mark.parametrize("v, refusal, message", [
+    (np.ones(3), DimensionMismatch, r"^v has shape \(3,\), expected 4 rows$"),
+    (np.ones((3, 2)), DimensionMismatch, r"^v has shape \(3, 2\), expected 4 rows$"),
+    (2.0, DimensionMismatch, r"^v has shape \(\), expected 4 rows$"),
+    ("abc", DimensionMismatch, "^v is not a numeric array: it holds text$"),
+    ([0.0, np.nan, 0.0, 0.0], NonFinite, "^v contains NaN or infinite entries$"),
+], ids=["short", "short_rows", "scalar", "text", "nan"])
+def test_subspace_basis_refuses_an_operand_it_cannot_take(aircraft_sys, method, v, refusal, message):
+    # numpy's untyped ValueError used to escape: a core-dimension mismatch
+    # in matmul, or a string it could not convert
+    basis = weakly_unobservable(aircraft_sys)
+    with pytest.raises(refusal, match=message):
+        getattr(basis, method)(v)
+
+
+def test_subspace_basis_takes_vectors_and_matrices_of_ambient_rows(aircraft_sys):
+    basis = weakly_unobservable(aircraft_sys)
+    cols = basis.project(np.eye(4))
+    assert np.allclose(cols, basis.basis @ basis.basis.T)
+    assert np.allclose(basis.project(np.eye(4)[:, 1]), cols[:, 1])
+    assert basis.contains(basis.basis) and basis.contains(basis.basis[:, 0].tolist())
+    assert SubspaceBasis.zero(4).residual_outside([3.0, 4.0, 0.0, 0.0]) == 5.0
 
 
 def test_every_subspace_basis_holds_a_read_only_copy(aircraft_sys):

@@ -172,6 +172,38 @@ def test_load_rejects_non_numeric_x0(tmp_path):
         load_scenario(_write_scenario(tmp_path, x0=[1.0, "two"]))
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("Omega", [["1", "0"]], "Omega"),
+    ("A", [[0.5, 1.0], [0.0, "0.3"]], "A"),
+    ("x0", ["1", "2"], "x0"),
+    ("attack", {"T": 1, "frames": [["0"], ["0"]]}, "attack frames"),
+], ids=["Omega", "A", "x0", "attack"])
+def test_load_rejects_numbers_written_as_strings(tmp_path, field, value, name):
+    # numpy parses "1" as 1.0, so these used to load
+    with pytest.raises(ParseError, match=f"{name} is not a numeric array: it holds text$"):
+        load_scenario(_write_scenario(tmp_path, **{field: value}))
+
+
+def test_load_attack_rejects_frames_written_as_strings(tmp_path):
+    path = tmp_path / "attack.json"
+    path.write_text(json.dumps({"T": 1, "frames": [["0"], [0.0]]}))
+    with pytest.raises(ParseError, match="^malformed attack object: attack frames is not a numeric array"):
+        load_attack(path, 1)
+
+
+def test_log_rejects_a_side_value_written_as_strings(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps({"y_omega": ["1"]}) + "\n" + json.dumps({"k": 0, "y": [1.0]}) + "\n")
+    with pytest.raises(ParseError, match="y_omega is not a numeric array: it holds text$"):
+        load_log(path)
+
+
+@pytest.mark.parametrize("field", ["n", "q"])
+def test_load_rejects_a_nonpositive_dimension(tmp_path, field):
+    with pytest.raises(ParseError, match="has nonpositive dimensions$"):
+        load_scenario(_write_scenario(tmp_path, **{field: 0}))
+
+
 @pytest.mark.parametrize("horizon", [1.7, "1", True])
 def test_load_rejects_non_integer_attack_horizon(tmp_path, horizon):
     # a fractional T used to be truncated to fit the frames
@@ -364,7 +396,8 @@ def test_save_log_writes_json_dumps_bytes(tmp_path):
 
 def _load_log_line_by_line(path):
     """The reading of one json.loads per record line, its records sorted and
-    stacked into one array: the reference."""
+    stacked into one array: the reference.  A number written as a JSON
+    string is refused, not parsed."""
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     y_omega = np.asarray(json.loads(lines[0])["y_omega"], dtype=float).reshape(-1)
     records = []
@@ -374,9 +407,15 @@ def _load_log_line_by_line(path):
             k = rec["k"]
             if type(k) not in (int, float) or not float(k).is_integer():
                 raise ParseError(f"record index k in log {path} must be an integer, got {k!r}")
-            records.append((int(k), np.asarray(rec["y"], dtype=float).reshape(-1)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            y = rec["y"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed log record in {path}: {exc}") from exc
+        try:
+            if any(isinstance(v, str) for v in np.asarray(y).flat):
+                raise TypeError("it holds text")
+            records.append((int(k), np.asarray(y, dtype=float).reshape(-1)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"malformed log record in {path}: y is not a numeric array: {exc}") from exc
     lengths = sorted({len(y) for _, y in records})
     if len(lengths) > 1:
         raise ParseError(f"log {path} has outputs of unequal lengths {lengths}")
@@ -416,6 +455,10 @@ LOG_RECORDS = {
     "oversized_output": [_record(0, [1.0, 2.0]), _record(1, [1.0, 10**400])],
     "scalar_outputs": ['{"k": 0, "y": 1.5}', '{"k": 1, "y": 2.5}'],
     "nested_outputs": ['{"k": 0, "y": [[1.0, 2.0]]}', '{"k": 1, "y": [[3.0], [4.0]]}'],
+    # numbers written as JSON strings are text, which numpy would parse
+    "string_outputs": [_record(0, [1.0, 2.0]), '{"k": 1, "y": ["1", "2"]}'],
+    "string_among_numbers": [_record(0, [1.0, 2.0]), '{"k": 1, "y": [3.0, "4"]}'],
+    "all_string_outputs": ['{"k": 0, "y": ["1", "2", "3"]}', '{"k": 1, "y": ["4", "5", "6"]}'],
     "no_records": [],
 }
 

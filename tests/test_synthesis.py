@@ -85,6 +85,15 @@ def test_no_modes_without_actuation():
         find_zero_dynamics_modes(sys)
 
 
+def test_no_modes_when_every_candidate_is_unstable():
+    # a wide plant (s > p) has a pencil null vector at every lambda; its one
+    # candidate, eig(A) = 2, is outside the unit disc
+    sys = LtiSystem(a=[[2.0]], b=[[1.0, 0.0]], c=[[1.0]], d=[[0.0, 1.0]])
+    with pytest.raises(NoModes, match="^no lambda produced a verified pencil null vector$"):
+        find_zero_dynamics_modes(sys)
+    assert [m.lam for m in find_zero_dynamics_modes(sys, allow_unstable=True)] == [2.0]
+
+
 def test_square_planted_zero(square_plant):
     modes = find_zero_dynamics_modes(square_plant)
     assert len(modes) == 1
@@ -351,6 +360,18 @@ def test_synthesis_rejects_a_scale_that_is_not_one_number(aircraft_sys, scale):
     # untyped errors escape
     mode = find_zero_dynamics_modes(aircraft_sys, lambda_hints=[AIR_LAMBDA])[0]
     message = rf"^scale must be a single number, got shape {re.escape(str(np.shape(scale)))}$"
+    with pytest.raises(DimensionMismatch, match=message):
+        zero_dynamics_attack(mode, 8, scale)
+    with pytest.raises(DimensionMismatch, match=message):
+        zero_state_synthesize(aircraft_sys, 8, scale=scale)
+
+
+@pytest.mark.parametrize("scale, held", [("2", "text"), (np.complex128(2.0), "complex numbers")],
+                         ids=["digits", "complex"])
+def test_synthesis_rejects_a_scale_that_is_not_a_real_number(aircraft_sys, scale, held):
+    # numpy used to parse "2" and to drop the imaginary part of a complex
+    mode = find_zero_dynamics_modes(aircraft_sys, lambda_hints=[AIR_LAMBDA])[0]
+    message = f"^scale is not a numeric array: it holds {held}$"
     with pytest.raises(DimensionMismatch, match=message):
         zero_dynamics_attack(mode, 8, scale)
     with pytest.raises(DimensionMismatch, match=message):
