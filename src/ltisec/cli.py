@@ -41,6 +41,23 @@ def _horizon(args, sys) -> int:
     return 2 * sys.n if args.horizon is None else args.horizon
 
 
+# the synthesize options each --kind reads; the others are refused
+_READ_BY = {"scale": ("zero-dynamics", "zero-state"), "lambda_hint": ("zero-dynamics",),
+            "allow_unstable": ("zero-dynamics",), "theta": ("from-theta",), "attack": ("extend",)}
+
+
+def _unread(args, scenario) -> str | None:
+    """Why an option given decides nothing for this call, or None."""
+    if args.command == "synthesize":
+        return next((f"--{opt.replace('_', '-')} is not read by --kind {args.kind}"
+                     for opt, kinds in _READ_BY.items()
+                     if opt in args and args.kind not in kinds), None)
+    given = args.command == "simulate" and (args.attack or scenario.attack is not None)
+    if given and args.horizon is not None:
+        return "--horizon is read only when neither --attack nor the scenario gives an attack"
+    return None
+
+
 def _attack(args, scenario) -> AttackSequence | None:
     """The attack of ``--attack``, else the scenario's, else None."""
     return load_attack(args.attack, scenario.system.s) if args.attack else scenario.attack
@@ -54,17 +71,19 @@ def _cmd_analyze(args, scenario, tol) -> int:
 def _cmd_synthesize(args, scenario, tol) -> int:
     sys = scenario.system
     horizon = _horizon(args, sys)
+    # the options of _READ_BY are in args only where given (argparse.SUPPRESS)
     if args.kind == "zero-dynamics":
-        modes = find_zero_dynamics_modes(sys, tol, args.lambda_hint, args.allow_unstable)
-        attack = zero_dynamics_attack(modes[0], horizon, args.scale)
+        modes = find_zero_dynamics_modes(sys, tol, getattr(args, "lambda_hint", None),
+                                         "allow_unstable" in args)
+        attack = zero_dynamics_attack(modes[0], horizon, getattr(args, "scale", 1.0))
     elif args.kind == "zero-state":
-        attack = zero_state_synthesize(sys, horizon, tol, args.scale)
+        attack = zero_state_synthesize(sys, horizon, tol, getattr(args, "scale", 1.0))
     elif args.kind == "from-theta":
-        if args.theta is None:
+        if "theta" not in args:
             raise LtisecError("--theta is required for kind from-theta")
         attack = undetectable_from_theta(sys, scenario.side, args.theta, horizon, tol)
     else:  # extend
-        if args.attack is None:
+        if "attack" not in args:
             raise LtisecError("--attack is required for kind extend")
         base = load_attack(args.attack, sys.s)
         cert = certify_undetectable(sys, scenario.side, base, tol)
@@ -157,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=None, help="residual tolerance")
 
     def modes(p):
-        p.add_argument("--lambda-hint", action="append", type=complex, default=[],
+        p.add_argument("--lambda-hint", action="append", type=complex,
                        help="candidate lambda (repeatable); used only where the pencil is scanned: "
                        "wide plants (s > p) and plants with redundant outputs")
         p.add_argument("--allow-unstable", action="store_true", help="keep modes with |lambda| > 1")
@@ -167,17 +186,19 @@ def _build_parser() -> argparse.ArgumentParser:
     modes(p)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("synthesize", help="construct an attack sequence")
+    p = sub.add_parser("synthesize", help="construct an attack sequence",
+                       argument_default=argparse.SUPPRESS)
     common(p)
     p.add_argument("--kind", required=True,
                    choices=["zero-dynamics", "zero-state", "from-theta", "extend"])
     p.add_argument("--horizon", type=int, default=None, help="attack horizon T")
-    p.add_argument("--scale", type=float, default=1.0, help="attack magnitude")
+    p.add_argument("--scale", type=float,
+                   help="attack magnitude, default 1 (kinds zero-dynamics and zero-state)")
     modes(p)
-    p.add_argument("--theta", type=_floats, default=None, help="comma-separated initial-state shift")
-    p.add_argument("--attack", default=None, help="attack JSON file (kind extend)")
+    p.add_argument("--theta", type=_floats, help="comma-separated initial-state shift (kind from-theta)")
+    p.add_argument("--attack", help="attack JSON file (kind extend)")
     p.add_argument("--out", default=None, help="output attack JSON file")
-    p.set_defaults(func=_cmd_synthesize)
+    p.set_defaults(func=_cmd_synthesize, refuse=p.error)
 
     p = sub.add_parser("certify", help="undetectability certificate for an attack")
     common(p)
@@ -187,9 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the recursion and write a log")
     common(p, tol=False)
     p.add_argument("--attack", default=None, help="attack JSON file")
-    p.add_argument("--horizon", type=int, default=None, help="horizon for the zero attack")
+    p.add_argument("--horizon", type=int, default=None,
+                   help="horizon for the zero attack, when no attack is given")
     p.add_argument("--out", default=None, help="output log file")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, refuse=p.error)
 
     p = sub.add_parser("detect", help="run the windowed detector over a log")
     common(p)
@@ -214,7 +236,10 @@ def main(argv=None) -> int:
         if args.command == "repro-aircraft":
             return args.func(args)
         tol = Tol() if getattr(args, "tol", None) is None else Tol(residual_rel=args.tol)
-        return args.func(args, load_scenario(args.scenario, tol), tol)
+        scenario = load_scenario(args.scenario, tol)
+        if (unread := _unread(args, scenario)) is not None:
+            args.refuse(unread)  # a usage error: exit 1
+        return args.func(args, scenario, tol)
     except (LtisecError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

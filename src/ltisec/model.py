@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 from .numlin import DEFAULT_TOL, Tol, _as_count, _as_matrix, _as_vector, _finite, _frozen, numerical_rank
 
 __all__ = [
@@ -242,12 +242,19 @@ class Trajectory:
 
 
 def obs_matrix(sys: LtiSystem, t: int) -> np.ndarray:
-    """Extended observability matrix O_t = [C; CA; ...; CA^t], shape p(t+1) x n."""
+    """Extended observability matrix O_t = [C; CA; ...; CA^t], shape p(t+1) x n.
+
+    Raises ``NonFinite`` where an entry overflows: every verdict built on
+    O_t would read NaN."""
     t = _as_count(t, "t")
     blocks = [sys.c]
-    for _ in range(t):
-        blocks.append(blocks[-1] @ sys.a)
-    return np.vstack(blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(t):
+            blocks.append(blocks[-1] @ sys.a)
+    ot = np.vstack(blocks)
+    if not np.isfinite(ot).all():
+        raise NonFinite(f"O_t overflows at t = {t}")
+    return ot
 
 
 def _markov_from_obs(sys: LtiSystem, ot: np.ndarray) -> np.ndarray:

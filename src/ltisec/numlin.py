@@ -219,8 +219,10 @@ class SubspaceBasis:
 
     def contains(self, v: np.ndarray, tol: Tol = DEFAULT_TOL) -> bool:
         """Thresholded membership test: ``feasible`` of the residual outside
-        the subspace against ``||v||``."""
-        return feasible(self.residual_outside(v), float(np.linalg.norm(v)), tol)
+        the subspace against ``||v||``, for each column of a matrix ``v``;
+        ``project`` checks ``v``."""
+        outside = np.linalg.norm(v - self.project(v), axis=0)
+        return bool(np.all(feasible(outside, np.linalg.norm(v, axis=0), tol)))
 
 
 def above_cut(values: np.ndarray, tol: Tol, scale_floor: float = 0.0) -> np.ndarray:

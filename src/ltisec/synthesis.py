@@ -9,10 +9,12 @@ or built frames are admissible and verified is decided by ``analysis``:
   with V; Basile & Marro, 1992), at its eigenvalues or at candidate lambdas;
 * arbitrarily long attacks from rest that never touch the output, whose
   first frame is a free input kept with V (it nulls the output and lands
-  the state in V) and whose later frames come from V's nulling gain;
+  the state in V) and whose later frames keep the state in V;
 * minimum-norm attacks realizing a prescribed admissible initial-state
   shift theta;
-* extensions of undetectable attacks to longer horizons.
+* extensions of undetectable attacks to longer horizons, whose tails keep
+  the state in V.  One minimum-norm recursion builds every frame after a
+  given first one (``_nulling_frames``).
 """
 
 from __future__ import annotations
@@ -256,16 +258,16 @@ def _backward(sys: LtiSystem, kept: tuple, t: int, tol: Tol) -> tuple:
                for gain, null in nulling[: min(t, last) + 1]]
     free = nulling[0][1].shape[1] > 0
     new = np.empty((t + 1 - len(gains), sys.s, sys.n))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # ndarray.dot: @'s BLAS calls, less overhead
         for i, j in enumerate(range(len(gains), t + 1)):
             gain, null, closed, bn, eye = factors[min(j, last)]
             if null.shape[1]:
-                pbn = p @ bn
-                z = np.linalg.solve(eye + bn.T @ pbn, pbn.T @ closed)
-                gain = gain - null @ z
-                closed = closed - bn @ z
+                pbn = p.dot(bn)
+                z = np.linalg.solve(eye + bn.T.dot(pbn), pbn.T.dot(closed))
+                gain = gain - null.dot(z)
+                closed = closed - bn.dot(z)
             if free:
-                p = closed.T @ p @ closed + gain.T @ gain
+                p = closed.T.dot(p).dot(closed) + gain.T.dot(gain)
                 if not np.isfinite(p).all():
                     return _frozen(np.concatenate([gains, new[:i]])), None
             new[i] = gain
@@ -307,10 +309,20 @@ def _nulling_frames(sys: LtiSystem, x0: np.ndarray, t: int, tol: Tol) -> np.ndar
     frames = np.empty((t + 1, sys.s))
     x = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(t + 1):
-            frames[k] = gains[t - k] @ x
-            x = a @ x + b @ frames[k]
+        for gain, frame in zip(gains[t::-1], frames):  # ndarray.dot as in _backward
+            gain.dot(x, out=frame)
+            x = a.dot(x) + b.dot(frame)
     return frames if np.isfinite(frames).all() else None
+
+
+def _frames_in_v(sys: LtiSystem, head: np.ndarray, x0: np.ndarray, t: int, tol: Tol) -> np.ndarray | None:
+    """``head``, then minimum-norm frames a(0..t) that null y(0..t) from x0
+    in V and keep x(1..t+1) in V, or None on overflow.  With j steps to go
+    the recursion lands the state in V_j, which is V from j = last on, so
+    these are the first t + 1 frames of horizon t + last."""
+    last = len(_nulling_factors(sys, tol)) - 1
+    tail = _nulling_frames(sys, x0, t + last, tol)
+    return None if tail is None else np.vstack([head, tail[: t + 1]])
 
 
 def zero_state_synthesize(
@@ -321,53 +333,41 @@ def zero_state_synthesize(
     The first frame is the first column of the free-input basis kept with
     the weakly unobservable subspace V, sign-fixed so its largest entry is
     positive: it nulls the output and lands the state in V, on the shared
-    direction of V and the one-step output-nulling image.  Subsequent frames
-    come from one minimum-norm feedback gain that keeps the output at zero
-    while the state stays inside V.  The result is normalized so
-    ``||a(0)|| == scale``.
+    direction of V and the one-step output-nulling image.  The frames after
+    it are the minimum-norm ones that null the output and keep the state in
+    V (``_frames_in_v``), so the attack stays extensible at every horizon.
+    The result is normalized so ``||a(0)|| == scale``.
 
     Raises
     ------
     HorizonTooShort
         If ``t`` is below 1.
-    NonFinite
-        If ``scale`` is NaN or infinite.
-    DimensionMismatch
-        If ``scale`` is not a single number.
+    NonFinite, DimensionMismatch
+        If ``scale`` is not one finite number.
     NotSynthesizable
-        If no such first frame exists, or the frames overflow.
+        If no such first frame exists, or the recursion overflows.
     """
     t = _as_count(t, "t", least=1)
     scale = _as_scalar(scale, "scale")
-    gain, free = _nulling_factors(sys, tol)[-1]
+    free = _nulling_factors(sys, tol)[-1][1]
     if free.shape[1] == 0:
         raise NotSynthesizable("one-step output-nulling image does not meet the "
                                "weakly unobservable subspace")
     a0 = _canonical_phase(free[:, :1])[:, 0]
-    closed = sys.a + sys.b @ gain
-    arr = np.empty((t + 1, sys.s))
-    arr[0] = a0
-    x = sys.b @ a0
+    frames = _frames_in_v(sys, a0[None], sys.b @ a0, t - 1, tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, t + 1):
-            arr[k] = gain @ x
-            x = closed @ x
-        arr *= scale / float(np.linalg.norm(a0))
-    if not np.isfinite(arr).all():
-        raise NotSynthesizable(f"the frames overflow before horizon {t}")
-    return AttackSequence(arr)
+        frames = None if frames is None else frames * (scale / float(np.linalg.norm(a0)))
+    if frames is None or not np.isfinite(frames).all():
+        raise NotSynthesizable(f"the frames or their cost-to-go overflow before horizon {t}")
+    return AttackSequence(frames)
 
 
-def _realized(sys: LtiSystem, theta: np.ndarray, head: np.ndarray, x: np.ndarray, m: int,
+def _realized(sys: LtiSystem, theta: np.ndarray, frames: np.ndarray | None,
               tol: Tol) -> AttackSequence | None:
-    """``head`` and then the minimum-norm frames a(0..m) nulling the output
-    of the recursion from x, or None where these overflow or the run from
-    theta under all the frames fails ``analysis._nulls_from``."""
-    tail = _nulling_frames(sys, x, m, tol)
-    if tail is None:
-        return None
-    attack = AttackSequence(np.vstack([head, tail]))
-    return attack if _nulls_from(sys, theta, attack, tol) else None
+    """The attack of ``frames``, or None where they overflowed (are None)
+    or the run from theta under them fails ``analysis._nulls_from``."""
+    attack = None if frames is None else AttackSequence(frames)
+    return attack if attack is not None and _nulls_from(sys, theta, attack, tol) else None
 
 
 def undetectable_from_theta(
@@ -400,7 +400,7 @@ def undetectable_from_theta(
         raise ThetaNotFeasible("theta lies outside the weakly unobservable subspace")
     if np.linalg.norm(theta) == 0.0:
         return AttackSequence.zeros(sys.s, t)
-    attack = _realized(sys, theta, np.empty((0, sys.s)), theta, t, tol)
+    attack = _realized(sys, theta, _nulling_frames(sys, theta, t, tol), tol)
     if attack is None:
         raise ThetaNotFeasible("no attack realizes this theta at the given horizon")
     return attack
@@ -418,9 +418,9 @@ def extend_attack(
     undetectable with the same induced state.
 
     The appended frames solve the trailing block of the stacked identity:
-    writing w for where the original attack left the shifted state, the
-    tail is the minimum-norm sequence that nulls the output of the
-    recursion started at w.
+    from w, where the original attack left the shifted state, the tail is
+    the minimum-norm sequence that nulls the output and keeps the state in
+    V (``_frames_in_v``), so the extension is extensible again.
 
     Raises
     ------
@@ -436,8 +436,8 @@ def extend_attack(
     if not verdict.extensible_forever:
         raise NotExtensible("the attack parks the shifted state outside the "
                             "weakly unobservable subspace")
-    ext = _realized(sys, cert.induced_state, attack.frames, verdict.test_vector,
-                    t_prime - attack.horizon_t - 1, tol)
+    frames = _frames_in_v(sys, attack.frames, verdict.test_vector, t_prime - attack.horizon_t - 1, tol)
+    ext = _realized(sys, cert.induced_state, frames, tol)
     if ext is None:
         raise NotExtensible("appended frames fail to keep the attack undetectable")
     return ext

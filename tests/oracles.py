@@ -330,12 +330,13 @@ def rand_system(rng, nmax=4, pmax=3, smax=3) -> LtiSystem:
 SHAPES = ("tall", "wide", "no_feedthrough", "unstable")
 
 
-def rand_shaped_system(rng, shape: str) -> LtiSystem:
+def rand_shaped_system(rng, shape: str, n_range: tuple[int, int] = (3, 6)) -> LtiSystem:
     """Random observable system with injective [B; D] of a given shape:
     "tall" (p > s), "wide" (s > p), "no_feedthrough" (D = 0) or
-    "unstable" (spectral radius 1.15)."""
+    "unstable" (spectral radius 1.15), with n drawn from ``n_range``
+    (low inclusive, high exclusive)."""
     while True:
-        n = int(rng.integers(3, 6))
+        n = int(rng.integers(*n_range))
         if shape == "tall":
             s = int(rng.integers(1, 3))
             p = s + int(rng.integers(1, 3))

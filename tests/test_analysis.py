@@ -15,6 +15,7 @@ from ltisec import (
     HorizonTooShort,
     LtiSystem,
     NonFinite,
+    NotExtensible,
     NotSynthesizable,
     NotUndetectable,
     Scenario,
@@ -30,6 +31,7 @@ from ltisec import (
     run_detector,
     simulate,
     weakly_unobservable,
+    zero_state_attack_exists,
 )
 from ltisec.reports import analyze_report
 from ltisec.subspaces import _null_omega_meet_v
@@ -370,10 +372,10 @@ def test_long_horizon_aircraft_certificates(aircraft_sys, aircraft_side, aircraf
 
 
 def test_attack_whose_norm_overflows_is_not_decided():
-    # finite frames up to 6e202 and a last frame of 1e200 leave a last
-    # output near -6e202; the stacked norms overflow, and against an
-    # infinite scale every residual would pass.  NonFinite is the only
-    # signal: no numpy warning escapes.
+    # a last frame of 1e200 leaves a last output of 1e200, whose square
+    # overflows; the stacked norms overflow, and against an infinite scale
+    # every residual would pass.  NonFinite is the only signal: no numpy
+    # warning escapes.
     sys = LtiSystem(a=np.array([[5.0, 1.0], [0.0, 0.5]]), b=np.eye(2),
                     c=np.array([[1.0, 0.0]]), d=np.array([[0.0, 1.0]]))
     frames = zero_state_synthesize(sys, 300).frames.copy()
@@ -385,6 +387,23 @@ def test_attack_whose_norm_overflows_is_not_decided():
         certify_undetectable(sys, SideInformation.none(2), attack)
     with pytest.raises(NonFinite):
         classify(sys, SideInformation(np.array([[0.0, 1.0]])), attack)
+
+
+def test_an_observability_matrix_that_overflows_is_refused():
+    # C A^t grows like 5^t and overflows past t = 441: numpy's untyped
+    # LinAlgError ("SVD did not converge") and a NonFinite naming no
+    # operator used to escape, after overflow warnings from the products
+    sys = LtiSystem(a=np.diag([5.0, 0.5]), b=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                    c=np.array([[1.0, 1.0]]), d=np.array([[0.0, 1.0]]))
+    assert is_zero_state_inducing(sys, AttackSequence.zeros(2, 440))
+    attack = AttackSequence.zeros(2, 499)
+    message = r"^O_t overflows at t = 499$"
+    with pytest.raises(NonFinite, match=message):
+        is_zero_state_inducing(sys, attack)
+    with pytest.raises(NonFinite, match=message):
+        classify(sys, SideInformation(np.eye(2)), attack)
+    with pytest.raises(NonFinite, match=message):
+        certify_undetectable(sys, SideInformation.none(2), attack)
 
 
 def _mixing(rng, q: int) -> np.ndarray:
@@ -539,6 +558,100 @@ def test_undetectable_attack_leaves_the_detector_quiet(shape, kind, seed):
             traj = simulate(sys, rng.standard_normal(sys.n), attack, side)
             trace = run_detector(sys, cfg, traj.side_value, traj.outputs)
             assert not trace.attack.any(), trace.first_detection()
+
+
+def _row_draw(seed: int, n_range: tuple[int, int]):
+    """Draw ``seed`` of the plants of the paper's invariant rows: the shape
+    cycled through ``SHAPES`` by seed, n in ``n_range``, full-rank Omega at
+    even seeds and ``rand_side(..., "mixed")`` at odd ones, T in [n, 3n),
+    and the zero-state attack and an attack from a shift in
+    ker(Omega) meet V, each None where it does not exist."""
+    rng = np.random.default_rng(seed)
+    sys = rand_shaped_system(rng, SHAPES[seed % len(SHAPES)], n_range)
+    side = rand_side(rng, sys.n, "full" if seed % 2 == 0 else "mixed")
+    t = int(rng.integers(sys.n, 3 * sys.n))
+    try:
+        zero_state = zero_state_synthesize(sys, t)
+    except NotSynthesizable:
+        zero_state = None
+    meet = _null_omega_meet_v(sys, side, Tol()).basis
+    from_theta = None
+    if meet.shape[1]:
+        try:
+            from_theta = undetectable_from_theta(sys, side, meet @ rng.standard_normal(meet.shape[1]), t)
+        except ThetaNotFeasible:
+            pass
+    return sys, side, t, zero_state, from_theta
+
+
+def _zero_state_row(sys, side, attack):
+    """The paper's third result: a zero-state attack, built wherever one
+    exists, is zero-state inducing and undetectable under Omega, under no
+    side information and under Omega = I."""
+    assert (attack is not None) == zero_state_attack_exists(sys)
+    if attack is None:
+        return
+    cls = classify(sys, side, attack)
+    assert cls.zero_state_inducing
+    assert cls.undetectable_under_omega and cls.undetectable_under_zero_omega
+    assert certify_undetectable(sys, SideInformation(np.eye(sys.n)), attack).undetectable
+
+
+def _extension_row(sys, side, attack, t):
+    """The paper's second result: an undetectable attack that parks the
+    shifted state in V extends to 2T, certified undetectable, and the
+    extension parks it in V again."""
+    cert = certify_undetectable(sys, side, attack)
+    if not (cert.undetectable and extension_verdict(sys, side, attack, cert).extensible_forever):
+        return
+    longer = extend_attack(sys, side, attack, cert, 2 * t)
+    again = certify_undetectable(sys, side, longer)
+    assert again.undetectable
+    assert extension_verdict(sys, side, longer, again).extensible_forever
+
+
+# Draws 0..399 at n = 3..12 whose attack from theta has frames of norm
+# 1.7e4 to 1e8 on an unstable plant: extend_attack's check of the run from
+# theta refuses the rounding noise of the extension (ROADMAP item 13).
+_ITEM_13_THETA_DRAWS = (67, 75, 79, 195, 239, 255, 375, 379)
+
+_ITEM_13 = ("ROADMAP item 13: runs from rest and from theta are decided against scales that "
+            "do not grow with ||E||")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 399))
+def test_zero_state_attack_is_undetectable(seed):
+    sys, side, _, attack, _ = _row_draw(seed, (3, 13))
+    _zero_state_row(sys, side, attack)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 399))
+def test_extensible_attacks_extend_to_extensible_attacks(seed):
+    sys, side, t, zero_state, from_theta = _row_draw(seed, (3, 13))
+    for attack in (zero_state, None if seed in _ITEM_13_THETA_DRAWS else from_theta):
+        if attack is not None:
+            _extension_row(sys, side, attack, t)
+
+
+@pytest.mark.xfail(strict=True, raises=NotExtensible, reason=_ITEM_13)
+@pytest.mark.parametrize("seed", _ITEM_13_THETA_DRAWS)
+def test_extensible_theta_attack_on_an_unstable_plant_extends(seed):
+    sys, side, t, _, from_theta = _row_draw(seed, (3, 13))
+    _extension_row(sys, side, from_theta, t)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7, 11, 13, 17,
+                                  pytest.param(59, marks=pytest.mark.xfail(strict=True, reason=_ITEM_13))])
+def test_invariant_rows_at_n_20_to_40(seed):
+    # wide and unstable draws with both attacks; seed 59's zero-state attack
+    # (n = 36, T = 104, ||E|| = 756) is detectable under Omega = I
+    sys, side, t, zero_state, from_theta = _row_draw(seed, (20, 41))
+    _zero_state_row(sys, side, zero_state)
+    for attack in (zero_state, from_theta):
+        if attack is not None:
+            _extension_row(sys, side, attack, t)
 
 
 def test_classify_runs_from_rest_once(monkeypatch, aircraft, aircraft_mode):

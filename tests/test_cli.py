@@ -256,6 +256,19 @@ def test_certify_attack_whose_norm_overflows_exits_1(tmp_path, capsys):
     assert err.splitlines() == ["error: the scale of a feasibility decision is not finite (a norm overflowed)"]
 
 
+def test_certify_whose_observability_matrix_overflows_exits_1(tmp_path, capsys):
+    # C A^T overflows at T = 499: a typed error naming O_t, and no numpy warning
+    scenario = tmp_path / "unstable.json"
+    scenario.write_text(json.dumps({"n": 2, "p": 1, "s": 2, "q": 1, "A": [[5.0, 0.0], [0.0, 0.5]],
+                                    "B": [[0.0, 0.0], [1.0, 0.0]], "C": [[1.0, 1.0]], "D": [[0.0, 1.0]],
+                                    "Omega": [[0.0, 0.0]]}))
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps({"T": 499, "frames": [[0.0, 0.0]] * 500}))
+    code, out, err = run_cli(capsys, "certify", "--scenario", str(scenario), "--attack", str(attack))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: O_t overflows at t = 499"]
+
+
 @pytest.mark.parametrize("argv", [
     ["detect", "--scenario", "AIRCRAFT", "--log", "log.jsonl", "--windw", "5"],
     ["certify", "--scenario", "AIRCRAFT", "--tol", "abc"],
@@ -267,8 +280,19 @@ def test_certify_attack_whose_norm_overflows_exits_1(tmp_path, capsys):
     ["synthesize", "--scenario", "AIRCRAFT", "--kind", "from-theta", "--theta", "1,,0,0"],
     ["synthesize", "--scenario", "AIRCRAFT", "--kind", "from-theta", "--theta", "1,0x1,0,0"],
     ["synthesize", "--scenario", "AIRCRAFT", "--kind", "from-theta", "--theta", "1,2j,0,0"],
+    # each synthesize option only with the kinds that read it
+    ["synthesize", "--scenario", "AIRCRAFT", "--kind", "zero-state", "--attack", "/nonexistent.json"],
+    ["synthesize", "--scenario", "AIRCRAFT", "--kind", "from-theta", "--theta", "0,0,0,0", "--scale", "7"],
+    ["synthesize", "--scenario", "AIRCRAFT", "--kind", "zero-state", "--lambda-hint", "0.5"],
+    ["synthesize", "--scenario", "AIRCRAFT", "--kind", "extend", "--attack", "a.json", "--allow-unstable"],
+    ["synthesize", "--scenario", "AIRCRAFT", "--kind", "zero-dynamics", "--theta", "0,0,0,0"],
+    # simulate reads --horizon only when no attack is given
+    ["simulate", "--scenario", "AIRCRAFT", "--horizon", "3"],
+    ["simulate", "--scenario", "AIRCRAFT", "--attack", "/nonexistent.json", "--horizon", "3"],
 ], ids=["unknown_option", "bad_tol", "bad_lambda_hint", "no_command", "simulate_tol", "empty_theta_entry",
-        "hex_theta_entry", "complex_theta_entry"])
+        "hex_theta_entry", "complex_theta_entry", "zero_state_attack", "from_theta_scale",
+        "zero_state_lambda_hint", "extend_allow_unstable", "zero_dynamics_theta",
+        "simulate_horizon_with_scenario_attack", "simulate_horizon_with_attack"])
 def test_a_usage_error_exits_1(aircraft_file, capsys, argv):
     # exit 2 reports a detection, so argparse's usage exit must not reach it
     with pytest.raises(SystemExit) as exited:

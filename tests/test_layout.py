@@ -112,6 +112,11 @@ RULES = {
         r"_factorizations", None, r"^model\.py:", 0,
         "    kept = sys._factorizations",
         "results kept on an LtiSystem are computed, extended and read through model._memo alone"),
+    "synthesis_has_one_frame_loop": Rule(
+        r"\bx = .*(@ x\b|\.dot\(x\))", "synthesis.py", None, 1,
+        "            x = closed @ x",
+        "every synthesized frame comes from the forward loop of _nulling_frames; frames that must "
+        "keep the state in V are cut from a longer horizon (_frames_in_v)"),
     "cli_loads_the_scenario_once": Rule(
         r"load_scenario\(", "cli.py", None, 1,
         "    scenario = load_scenario(args.scenario, tol)",

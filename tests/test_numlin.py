@@ -328,6 +328,15 @@ def test_contains_is_feasible_of_residual_outside(head, ratio):
         assert want == (ratio < 1.0)
 
 
+def test_contains_decides_each_column():
+    # one residual of the whole matrix against its one norm let a large
+    # column carry a column wholly outside the subspace
+    line = SubspaceBasis(2, np.array([[1.0], [0.0]]))
+    assert not line.contains([0.0, 1e-7])
+    assert not line.contains(np.array([[100.0, 0.0], [0.0, 1e-7]]))
+    assert line.contains(np.array([[100.0, -3.0], [0.0, 0.0]]))
+
+
 @pytest.mark.parametrize(
     "sv,rank_rel,floor,want",
     [

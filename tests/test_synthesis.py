@@ -275,15 +275,31 @@ def test_zero_state_synthesize_blocked():
 
 
 def test_zero_state_synthesize_overflow_is_not_synthesizable():
-    # the nulling gain leaves the closed loop an eigenvalue near 4.77: the
-    # frames stay finite at T=20 and overflow long before T=500
+    # V's nulling gain alone leaves the closed loop an eigenvalue near 4.77,
+    # but the free input keeps the minimum-norm frames bounded: at T=500
+    # ||E|| is about 4.9.  Only a scale near the largest float overflows them.
     sys = LtiSystem(a=np.array([[5.0, 1.0], [0.0, 0.5]]), b=np.eye(2),
                     c=np.array([[1.0, 0.0]]), d=np.array([[0.0, 1.0]]))
-    attack = zero_state_synthesize(sys, 20)
+    attack = zero_state_synthesize(sys, 500)
+    assert np.isfinite(attack.frames).all()
+    assert np.linalg.norm(attack.stacked) <= 10.0
+    # O_T overflows past T = 441, so the zero-state rule reads the first frames
+    assert is_zero_state_inducing(sys, AttackSequence(attack.frames[:401]))
+    with pytest.raises(NotSynthesizable):
+        zero_state_synthesize(sys, 500, scale=1e308)
+
+
+def test_zero_state_synthesize_stops_where_the_cost_to_go_overflows():
+    # the cost-to-go P of the minimum-norm recursion grows like 25^j along
+    # x1, a direction frames from rest never visit, and overflows after
+    # about 220 steps; no longer horizon has frames
+    sys = LtiSystem(a=np.diag([5.0, 0.5]), b=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                    c=np.array([[1.0, 1.0]]), d=np.array([[0.0, 1.0]]))
+    attack = zero_state_synthesize(sys, 200)
     assert np.isfinite(attack.frames).all()
     assert is_zero_state_inducing(sys, attack)
     with pytest.raises(NotSynthesizable):
-        zero_state_synthesize(sys, 500)
+        zero_state_synthesize(sys, 300)
 
 
 def test_zero_state_synthesize_planted():
@@ -399,6 +415,17 @@ def test_extend_aircraft_mode_attack(aircraft_sys):
     cert2 = certify_undetectable(aircraft_sys, no_info, longer)
     assert cert2.undetectable
     assert np.linalg.norm(cert2.induced_state - cert.induced_state) <= 1e-8
+
+
+def test_extended_aircraft_attack_is_extensible_again(aircraft):
+    # the tail keeps the shifted state in V, so the extension can be
+    # extended again: the paper's "sustained arbitrarily long"
+    tol, no_info = Tol(residual_rel=5e-3), SideInformation.none(4)
+    cert = certify_undetectable(aircraft.system, no_info, aircraft.attack, tol)
+    longer = extend_attack(aircraft.system, no_info, aircraft.attack, cert, 40, tol)
+    again = certify_undetectable(aircraft.system, no_info, longer, tol)
+    assert again.undetectable
+    assert extension_verdict(aircraft.system, no_info, longer, again, tol).extensible_forever
 
 
 def test_extend_computes_the_iterates_once(aircraft_sys, isa_runs):
