@@ -244,17 +244,20 @@ class Trajectory:
 def obs_matrix(sys: LtiSystem, t: int) -> np.ndarray:
     """Extended observability matrix O_t = [C; CA; ...; CA^t], shape p(t+1) x n.
 
-    Raises ``NonFinite`` where an entry overflows: every verdict built on
-    O_t would read NaN."""
+    The blocks are written into one preallocated stack, block k+1 as
+    ``ndarray.dot`` of block k and A: the same product, with the same bits,
+    as ``@`` would give.  Raises ``NonFinite`` where an entry overflows:
+    every verdict built on O_t would read NaN."""
     t = _as_count(t, "t")
-    blocks = [sys.c]
+    p, n = sys.c.shape
+    blocks = np.empty((t + 1, p, n))
+    blocks[0] = sys.c
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(t):
-            blocks.append(blocks[-1] @ sys.a)
-    ot = np.vstack(blocks)
-    if not np.isfinite(ot).all():
+        for k in range(t):
+            blocks[k].dot(sys.a, out=blocks[k + 1])
+    if not np.isfinite(blocks).all():
         raise NonFinite(f"O_t overflows at t = {t}")
-    return ot
+    return blocks.reshape(p * (t + 1), n)
 
 
 def _markov_from_obs(sys: LtiSystem, ot: np.ndarray) -> np.ndarray:
@@ -302,7 +305,11 @@ def propagate(
     recursion started at x0 under the attack frames.
 
     Flattened, the outputs equal ``O_T x0 + M_T E(T)``; the final state
-    equals ``A^{T+1} x0 + C_T E(T)``.  O(T) time and memory.
+    equals ``A^{T+1} x0 + C_T E(T)``.  O(T) time and memory: each state is
+    written into one preallocated stack as ``ndarray.dot`` of A and the
+    previous state plus B a(k), with the same bits as ``A @ x + B a(k)``.
+    An overflowing run raises no warning here; its inf or NaN entries reach
+    the caller, whose typed checks refuse them.
     """
     x = _as_vector(x0, sys.n, "x0")
     if attack.s != sys.s:
@@ -312,12 +319,14 @@ def propagate(
     a = sys.a
     # B a(k) for every k at once: matmul over stacked operands makes the
     # same gemv per frame as ``sys.b @ a(k)``, so the states keep their bits
-    bu = np.matmul(sys.b, attack.frames[:, :, None])[:, :, 0]
-    xs = np.empty((attack.horizon_t + 1, sys.n))
-    for k, b_ak in enumerate(bu):
-        xs[k] = x
-        x = a @ x + b_ak
-    return xs @ sys.c.T + attack.frames @ sys.d.T, x
+    xs = np.empty((attack.horizon_t + 2, sys.n))  # x(0..T+1), one row each
+    xs[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        bu = np.matmul(sys.b, attack.frames[:, :, None])[:, :, 0]
+        for k, b_ak in enumerate(bu):
+            np.add(a.dot(xs[k]), b_ak, out=xs[k + 1])
+        ys = xs[:-1] @ sys.c.T + attack.frames @ sys.d.T
+    return ys, xs[-1].copy()  # a copy: a kept final state holds no stack
 
 
 def simulate(

@@ -31,6 +31,7 @@ from ltisec import (
     load_scenario,
     run_detector,
     io_matrix,
+    is_zero_state_inducing,
     obs_matrix,
     output_nulling_reachable,
     propagate,
@@ -331,6 +332,22 @@ def test_propagate_refuses_a_non_finite_state(aircraft_sys, aircraft_attack, bad
         propagate(aircraft_sys, np.array([bad, 0.0, 0.0, 0.0]), aircraft_attack)
 
 
+@pytest.mark.parametrize("run", [
+    lambda sc, attack: certify_undetectable(sc.system, sc.side, attack),
+    lambda sc, attack: classify(sc.system, sc.side, attack),
+    lambda sc, attack: is_zero_state_inducing(sc.system, attack),
+    lambda sc, attack: simulate(sc.system, np.zeros(4), attack, sc.side),
+], ids=["certify_undetectable", "classify", "is_zero_state_inducing", "simulate"])
+@pytest.mark.parametrize("frame", [1e307, 1e308])
+def test_a_run_that_overflows_raises_only_the_typed_error(aircraft, run, frame):
+    # frames of 1e307 overflow the states, frames of 1e308 already B a(k);
+    # numpy's overflow warnings from the recursion used to precede the
+    # NonFinite, and under an error filter to replace it
+    attack = AttackSequence(np.full((31, aircraft.system.s), frame))
+    with pytest.raises(NonFinite):
+        run(aircraft, attack)
+
+
 def test_a_vector_of_the_wrong_length_is_named(aircraft):
     sys, side, attack = aircraft.system, aircraft.side, aircraft.attack
     wrong = r"^{} has length {}, expected {}$"
@@ -440,6 +457,45 @@ def test_propagate_equals_dense_stacked_products(shape):
             want = ap @ x0 + ct @ attack.stacked
             scale = np.linalg.norm(np.abs(ap) @ np.abs(x0) + np.abs(ct) @ np.abs(attack.stacked))
             assert np.linalg.norm(x_end - want) <= 1e-12 * scale
+
+
+def _plain_run(sys, x0, frames):
+    """The recursion and O_T as plain ``@`` loops: the reference bits."""
+    x, states = x0, []
+    for a_k in frames:
+        states.append(x)
+        x = sys.a @ x + sys.b @ a_k
+    blocks = [sys.c]
+    for _ in range(frames.shape[0] - 1):
+        blocks.append(blocks[-1] @ sys.a)
+    return np.array(states) @ sys.c.T + frames @ sys.d.T, x, np.vstack(blocks)
+
+
+def _bit_plants():
+    rng = np.random.default_rng(31)
+    for shape in SHAPES:
+        for _ in range(3):
+            yield shape, rand_shaped_system(rng, shape, n_range=(3, 13))
+    a = rng.standard_normal((60, 60))
+    a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+    yield "n60", LtiSystem(a=a, b=rng.standard_normal((60, 5)),
+                           c=rng.standard_normal((20, 60)), d=rng.standard_normal((20, 5)))
+
+
+@pytest.mark.parametrize("t", [0, 1, 30, 1000])
+def test_propagate_and_obs_matrix_keep_the_bits_of_plain_loops(t):
+    # the O(T) kernels may change how they store and step, not a single
+    # bit of a state, an output or an O_T entry; a blocked or doubling
+    # kernel has to declare the bits it changes
+    rng = np.random.default_rng(t)
+    for shape, sys in _bit_plants():
+        frames = rng.standard_normal((t + 1, sys.s))
+        x0 = rng.standard_normal(sys.n)
+        ys, x_end = propagate(sys, x0, AttackSequence(frames))
+        want_ys, want_x, want_ot = _plain_run(sys, x0, frames)
+        assert np.array_equal(ys, want_ys), (shape, sys.n)
+        assert np.array_equal(x_end, want_x), (shape, sys.n)
+        assert np.array_equal(obs_matrix(sys, t), want_ot), (shape, sys.n)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
