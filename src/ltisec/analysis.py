@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonTooShort, NotUndetectable
+from .errors import HorizonTooShort, NonFinite, NotUndetectable
 from .model import (
     AttackSequence,
     LtiSystem,
@@ -199,8 +199,10 @@ def _nulls_from(sys: LtiSystem, theta: np.ndarray, attack: AttackSequence, tol: 
     """Whether the run from theta under the attack nulls the output, scaled
     as certification scales it: by the output from rest M E, not by
     ||O theta||, which extension frames can dwarf by orders of magnitude."""
-    y_theta, _ = propagate(sys, theta, attack)
-    res = float(np.linalg.norm(y_theta))
+    try:
+        res = float(np.linalg.norm(propagate(sys, theta, attack)[0]))
+    except NonFinite:  # a run that overflows nulls nothing
+        return False
     return np.isfinite(res) and feasible(res, float(np.linalg.norm(_from_rest(sys, attack))), tol)
 
 

@@ -216,14 +216,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run the windowed detector over a log")
     common(p)
     p.add_argument("--log", required=True, help="measurement log file")
-    p.add_argument("--window", type=int, default=None, help="window length l")
+    p.add_argument("--window", type=int, default=None, help="window length l, at least nu+1; default n+1")
     p.add_argument("--out", default=None, help="output trace CSV")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("repro-aircraft", help="re-run the bundled aircraft experiment",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--tol", dest="residual_rel", metavar="TOL", type=float, help="detection tolerance")
-    p.add_argument("--window", type=int, help="window length l")
+    p.add_argument("--window", type=int, help="window length l, at least nu+1 = 3")
     p.add_argument("--scale", type=float, help="attack magnitude")
     p.add_argument("--out", default=None, help="directory for CSV series")
     p.set_defaults(func=_cmd_repro_aircraft)

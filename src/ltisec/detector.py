@@ -7,8 +7,8 @@ epoch it tests the window alone against the range of O_{l-1}.  A window
 explainable by some initial state projects onto that range exactly; the
 decision thresholds the projection residual.
 
-With l >= n+1 the windowed test is exactly as powerful as projecting the
-entire history at once, so nothing is lost by forgetting old frames.
+With l >= nu+1, nu the observability index of (A, C), the windowed test is as
+powerful as projecting the entire history, so forgetting old frames loses nothing.
 
 Two paths decide the same epochs.
 
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
-from .model import LtiSystem, SideInformation, Trajectory, _memo, _same_state, obs_matrix
+from .model import LtiSystem, SideInformation, Trajectory, _memo, _observability_index, _same_state, obs_matrix
 from .numlin import DEFAULT_TOL, Tol, _as_count, _as_floats, _as_vector, _frozen, feasible, orth_columns
 
 __all__ = [
@@ -67,16 +67,15 @@ class Decision(str, Enum):
 @dataclass(frozen=True)
 class DetectorConfig:
     """Window length, tolerances, and side information for one detector;
-    configs compare and hash by these values.  A window shorter than n + 1
-    loses detection power and raises ``HorizonTooShort``."""
+    configs compare and hash by these values.  A window shorter than nu + 1
+    loses detection power; ``DetectorSession`` refuses it."""
 
     window_len_l: int
     omega: SideInformation
     tol: Tol = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "window_len_l",
-                           _as_count(self.window_len_l, "window_len_l", least=self.omega.n + 1))
+        object.__setattr__(self, "window_len_l", _as_count(self.window_len_l, "window_len_l", least=1))
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,8 @@ class DetectionTrace:
 
 def _range_bases(sys: LtiSystem, omega: np.ndarray, l: int, tol: Tol) -> tuple[np.ndarray, np.ndarray]:
     """Read-only orthonormal bases of the ranges of [Omega; O_{l-1}] and O_{l-1}."""
-    obs = obs_matrix(sys, l - 1)
+    nu = _observability_index(sys, tol)  # None when (A, C) is not observable: the rank guard refuses it
+    obs = obs_matrix(sys, _as_count(l, "window_len_l", least=(nu or 0) + 1) - 1)
     q_first = orth_columns(np.vstack([omega, obs]), tol)
     q_later = orth_columns(obs, tol)
     if q_later.dim < sys.n or q_first.dim < sys.n:
@@ -148,6 +148,7 @@ class DetectorSession:
     equal config; every session on that plant and config reuses them.  Each
     frame is copied twice into a (2l, p) ring, so the window is always one
     contiguous view, and each ``push`` costs one projection and two norms.
+    A window shorter than nu + 1 raises ``HorizonTooShort``, a rank-deficient stack ``RankDeficient``.
     """
 
     def __init__(self, sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray):
@@ -243,7 +244,7 @@ def run_detector(sys: LtiSystem, config: DetectorConfig, y_omega: np.ndarray,
     NonFinite
         If a window holds NaN or an infinity, or its norm overflows; the
         error names the first such epoch, as ``push`` does.
-    RankDeficient
+    HorizonTooShort, RankDeficient
         As ``DetectorSession``.
     """
     q_first, q_later, y_omega = _prepared(sys, config, y_omega)

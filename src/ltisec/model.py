@@ -136,9 +136,16 @@ def validate(sys: LtiSystem, tol: Tol = DEFAULT_TOL) -> ValidationReport:
 
 
 def _validation(sys: LtiSystem, tol: Tol) -> ValidationReport:
-    obs = numerical_rank(obs_matrix(sys, max(sys.n - 1, 0)), tol) == sys.n
     inj = numerical_rank(np.vstack([sys.b, sys.d]), tol) == sys.s
-    return ValidationReport(observable=obs, bd_injective=inj)
+    return ValidationReport(observable=_observability_index(sys, tol) is not None, bd_injective=inj)
+
+
+def _observability_index(sys: LtiSystem, tol: Tol) -> int | None:
+    """nu, the least k with O_{k-1} of full column rank, or None: (A, C) is not observable."""
+    def scan() -> int | None:
+        obs = obs_matrix(sys, max(sys.n - 1, 0))  # O_{k-1} is its first k blocks
+        return next((k for k in range(sys.n + 1) if numerical_rank(obs[: k * sys.p], tol) == sys.n), None)
+    return _memo(sys, ("observability_index", tol), scan)
 
 
 @dataclass(frozen=True)
@@ -308,8 +315,8 @@ def propagate(
     equals ``A^{T+1} x0 + C_T E(T)``.  O(T) time and memory: each state is
     written into one preallocated stack as ``ndarray.dot`` of A and the
     previous state plus B a(k), with the same bits as ``A @ x + B a(k)``.
-    An overflowing run raises no warning here; its inf or NaN entries reach
-    the caller, whose typed checks refuse them.
+    An overflowing run raises no warning but ``NonFinite`` naming the first
+    step k whose y(k) or x(k+1) is not finite: every verdict would read NaN.
     """
     x = _as_vector(x0, sys.n, "x0")
     if attack.s != sys.s:
@@ -326,6 +333,9 @@ def propagate(
         for k, b_ak in enumerate(bu):
             np.add(a.dot(xs[k]), b_ak, out=xs[k + 1])
         ys = xs[:-1] @ sys.c.T + attack.frames @ sys.d.T
+    if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
+        k = np.argmin(np.isfinite(ys).all(axis=1) & np.isfinite(xs[1:]).all(axis=1))
+        raise NonFinite(f"the run overflows at step k = {k}")
     return ys, xs[-1].copy()  # a copy: a kept final state holds no stack
 
 

@@ -98,6 +98,19 @@ def rank_has_margin(sv) -> bool:
     return not np.any((sv > 1e-12 * sv[0]) & (sv <= 1e-6 * sv[0]))
 
 
+def observability_index(sys: LtiSystem) -> int | None:
+    """The observability index nu, the least k with O_{k-1} of rank n, by
+    this module's own stacking; None when no such k <= n exists or a rank
+    on the way is not decided with a margin (``rank_has_margin``)."""
+    for k in range(1, sys.n + 1):
+        sv = np.linalg.svd(stack_obs(sys.a, sys.c, k - 1), compute_uv=False)
+        if not rank_has_margin(sv):
+            return None
+        if np.count_nonzero(sv > 1e-6 * sv[0]) == sys.n:
+            return k
+    return None
+
+
 def _kernel(m):
     m = np.atleast_2d(m)
     if m.shape[0] == 0:

@@ -48,6 +48,7 @@ from oracles import (
     extension_brute_oracle,
     meet_has_margin,
     null_omega_meet_v,
+    observability_index,
     rand_shaped_system,
     rand_side,
     rand_system,
@@ -558,6 +559,46 @@ def test_undetectable_attack_leaves_the_detector_quiet(shape, kind, seed):
             traj = simulate(sys, rng.standard_normal(sys.n), attack, side)
             trace = run_detector(sys, cfg, traj.side_value, traj.outputs)
             assert not trace.attack.any(), trace.first_detection()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(kind=st.sampled_from(("mixed", "full")), seed=st.integers(0, 2**32 - 1))
+def test_detectable_attack_trips_the_shortest_window(shape, kind, seed):
+    """The paper's detector claim at the shortest window l = nu+1, nu the
+    observability index: an attack whose certificate residual under Omega is
+    at least 10 times its threshold is flagged by ``run_detector`` on its
+    run from rest, where the detector's scale is the certificate's.  Besides
+    random frames, near-stealthy attacks: built under no side information
+    from theta = theta_meet + eps theta_v, theta_meet in ker(Omega) meet V
+    and theta_v in V, so only the side value betrays them, by an amount that
+    shrinks with eps.
+
+    Margin rule: drop a draw when a rank decision behind ker(Omega) meet V
+    or behind nu lacks margin (``oracles.meet_has_margin``,
+    ``oracles.observability_index``)."""
+    rng = np.random.default_rng(seed)
+    sys, tol = rand_shaped_system(rng, shape, (3, 13)), Tol()
+    side = rand_side(rng, sys.n, kind)
+    v = weakly_unobservable(sys, tol).basis
+    nu = observability_index(sys)
+    assume(nu is not None and meet_has_margin(side.omega, v))
+    t = int(rng.integers(sys.n, 2 * sys.n + 1))
+    attacks = [AttackSequence(rng.standard_normal((t + 1, sys.s)))]
+    if v.shape[1]:
+        meet = _null_omega_meet_v(sys, side, tol).basis
+        on, off = meet @ rng.standard_normal(meet.shape[1]), v @ rng.standard_normal(v.shape[1])
+        for eps in (1.0, 1e-3, 1e-5, 1e-7):
+            try:
+                attacks.append(undetectable_from_theta(sys, SideInformation.none(sys.n), on + eps * off, t, tol))
+            except ThetaNotFeasible:
+                pass
+    cfg = DetectorConfig(nu + 1, side, tol)
+    for attack in attacks:
+        traj = simulate(sys, np.zeros(sys.n), attack, side)
+        threshold = tol.residual_rel * max(1.0, float(np.linalg.norm(traj.outputs)))
+        if certify_undetectable(sys, side, attack, tol).residual >= 10 * threshold:
+            assert run_detector(sys, cfg, traj.side_value, traj.outputs).attack.any()
 
 
 def _row_draw(seed: int, n_range: tuple[int, int]):

@@ -312,8 +312,9 @@ def test_help_exits_0(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["detect", "--scenario", "AIRCRAFT", "--log", "log.jsonl", "--window", "4"],
-     "window_len_l is 4, must be at least 5"),
+    # the window's bound is the plant's (nu + 1 = 3), checked once the log is read
+    (["detect", "--scenario", "AIRCRAFT", "--log", "LOG", "--window", "2"],
+     "window_len_l is 2, must be at least 3"),
     (["synthesize", "--scenario", "AIRCRAFT", "--kind", "zero-state", "--horizon", "0"],
      "t is 0, must be at least 1"),
     (["simulate", "--scenario", "NOATTACK", "--horizon", "-2"], "horizon_t is -2, must be at least 0"),
@@ -325,7 +326,8 @@ def test_a_refused_count_or_tolerance_exits_1(aircraft_file, tmp_path, capsys, a
     obj = json.loads(Path(aircraft_file).read_text())
     del obj["attack"]
     (tmp_path / "no_attack.json").write_text(json.dumps(obj))
-    files = {"AIRCRAFT": aircraft_file, "NOATTACK": str(tmp_path / "no_attack.json")}
+    files = {"AIRCRAFT": aircraft_file, "NOATTACK": str(tmp_path / "no_attack.json"),
+             "LOG": str(Path(__file__).parent / "golden" / "simulate.jsonl")}
     code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv])
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: {message}"]

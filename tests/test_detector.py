@@ -24,9 +24,11 @@ from ltisec import (
     simulate,
 )
 from ltisec.detector import _BLOCK
+from ltisec.model import _observability_index
 from ltisec.synthesis import find_zero_dynamics_modes, zero_dynamics_attack
 
-from oracles import SHAPES, full_projection_decide, rand_shaped_system, rand_side, rand_system
+from oracles import (SHAPES, full_projection_decide, observability_index, rand_shaped_system, rand_side,
+                     rand_system)
 
 PRINT_TOL = Tol(residual_rel=5e-3)
 
@@ -229,11 +231,46 @@ def test_sliding_window_matches_full_projection(rng):
             assert run_detector(sys, cfg, traj.side_value, traj.outputs).verdict.value == want
         checked += 1
     assert checked >= 40
+    # every shape at n = 3..10 and every window from nu+1 to n+1: windows
+    # that share nu frames pin the state just as well.  A log is compared
+    # only when its full and windowed verdicts are the same at 1/100 and at
+    # 100 times the tolerance, so no verdict is a rounding call; a plant only
+    # when the oracle decides nu with a margin (oracles.observability_index)
+    compared = 0
+    for shape in SHAPES:
+        for _ in range(12):
+            sys = rand_shaped_system(rng, shape, (3, 11))
+            nu = observability_index(sys)
+            if nu is None:
+                continue
+            assert _observability_index(sys, Tol()) == nu
+            side = rand_side(rng, sys.n)
+            t = 2 * sys.n + 3
+            late = np.zeros((t + 1, sys.s))
+            late[t - 2] = rng.standard_normal(sys.s)
+            for frames in (late, np.zeros((t + 1, sys.s)), 0.5 * rng.standard_normal((t + 1, sys.s))):
+                traj = simulate(sys, rng.standard_normal(sys.n), AttackSequence(frames), side)
+                verdicts = {}
+                for rtol in (1e-8, 1e-6, 1e-4):
+                    verdicts[rtol] = [full_projection_decide(sys, side.omega, traj.side_value,
+                                                             traj.outputs, rtol=rtol)]
+                    verdicts[rtol] += [run_detector(sys, DetectorConfig(l, side, Tol(residual_rel=rtol)),
+                                                    traj.side_value, traj.outputs).verdict.value
+                                       for l in range(nu + 1, sys.n + 2)]
+                if verdicts[1e-8] != verdicts[1e-4]:
+                    continue
+                assert set(verdicts[1e-6]) == {verdicts[1e-6][0]}, (shape, sys.n, nu, verdicts[1e-6])
+                compared += 1
+    assert compared >= 120
 
 
-def test_window_shorter_than_state_rejected(aircraft_side):
-    with pytest.raises(HorizonTooShort, match=r"^window_len_l is 4, must be at least 5$"):
-        DetectorConfig(window_len_l=4, omega=aircraft_side, tol=Tol())
+def test_window_shorter_than_state_rejected(aircraft_sys, aircraft_side):
+    # the aircraft's observability index is 2, so windows of 3 frames pin the
+    # state; the plant decides the bound, so sessions refuse, not configs
+    short = DetectorConfig(window_len_l=2, omega=aircraft_side, tol=Tol())
+    with pytest.raises(HorizonTooShort, match=r"^window_len_l is 2, must be at least 3$"):
+        DetectorSession(aircraft_sys, short, np.zeros(1))
+    DetectorSession(aircraft_sys, DetectorConfig(window_len_l=3, omega=aircraft_side, tol=Tol()), np.zeros(1))
 
 
 def test_unobservable_pair_rejected(aircraft_side):

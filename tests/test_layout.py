@@ -121,6 +121,16 @@ RULES = {
         r"load_scenario\(", "cli.py", None, 1,
         "    scenario = load_scenario(args.scenario, tol)",
         "main builds the Tol and loads the scenario once, and passes both to the subcommand"),
+    "no_window_bound_from_n": Rule(
+        r"least=.*\.n \+ 1", None, None, 0,
+        '        _as_count(self.window_len_l, "window_len_l", least=self.omega.n + 1)',
+        "a window needs nu + 1 frames, nu the observability index; the detector's window rule "
+        "is in detector._range_bases"),
+    "observability_decided_once": Rule(
+        r"numerical_rank\(obs", None, r"^model\.py:.*numerical_rank\(obs\[: k \* sys\.p\]", 0,
+        "    obs = numerical_rank(obs_matrix(sys, max(sys.n - 1, 0)), tol) == sys.n",
+        "observability and its index nu are decided once, by model._observability_index; "
+        "validate and the detector read it"),
 }
 
 

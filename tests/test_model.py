@@ -29,6 +29,7 @@ from ltisec import (
     ctrl_matrix,
     extension_verdict,
     load_scenario,
+    numerical_rank,
     run_detector,
     io_matrix,
     is_zero_state_inducing,
@@ -40,7 +41,7 @@ from ltisec import (
     validate,
     weakly_unobservable,
 )
-from ltisec.model import _markov_from_obs
+from ltisec.model import _markov_from_obs, _observability_index
 from ltisec.subspaces import _null_omega_meet_v
 from ltisec.synthesis import (
     extend_attack,
@@ -68,6 +69,29 @@ def test_validate_unobservable_pair():
         c=np.array([[1.0, 0.0]]), d=np.array([[0.0]]),
     )
     assert not validate(sys).observable
+
+
+def test_validate_and_the_detector_read_one_observability_index(aircraft_sys, aircraft_side):
+    # nu is decided once per (plant, Tol) and kept; validate and every
+    # detector config on the plant read it
+    sys = LtiSystem(aircraft_sys.a, aircraft_sys.b, aircraft_sys.c, aircraft_sys.d)
+    for tol in (Tol(), Tol(residual_rel=5e-3), Tol()):
+        assert validate(sys, tol).observable
+        for l in (3, 5):
+            DetectorSession(sys, DetectorConfig(l, aircraft_side, tol), np.zeros(1))
+    kept = [key for key in sys._factorizations if key[0] == "observability_index"]
+    assert sorted(kept, key=repr) == sorted([("observability_index", Tol()),
+                                             ("observability_index", Tol(residual_rel=5e-3))], key=repr)
+    assert _observability_index(sys, Tol()) == 2
+
+
+def test_validate_calls_a_plant_observable_when_a_prefix_pins_the_state():
+    # C = I pins the state from one frame (nu = 1), but C A's 1e11 swamps the
+    # rank cut of the whole O_1, which the observability test used to read
+    sys = LtiSystem(a=np.diag([1e11, 0.0]), b=np.eye(2), c=np.eye(2), d=np.zeros((2, 2)))
+    assert numerical_rank(obs_matrix(sys, 1)) == 1
+    assert validate(sys).observable
+    assert _observability_index(sys, Tol()) == 1
 
 
 def test_validate_duplicate_input_column():
@@ -337,14 +361,18 @@ def test_propagate_refuses_a_non_finite_state(aircraft_sys, aircraft_attack, bad
     lambda sc, attack: classify(sc.system, sc.side, attack),
     lambda sc, attack: is_zero_state_inducing(sc.system, attack),
     lambda sc, attack: simulate(sc.system, np.zeros(4), attack, sc.side),
-], ids=["certify_undetectable", "classify", "is_zero_state_inducing", "simulate"])
-@pytest.mark.parametrize("frame", [1e307, 1e308])
-def test_a_run_that_overflows_raises_only_the_typed_error(aircraft, run, frame):
+    lambda sc, attack: extension_verdict(sc.system, sc.side, attack,
+                                         UndetectabilityCertificate(True, np.zeros(4), 0.0, True, True)),
+], ids=["certify_undetectable", "classify", "is_zero_state_inducing", "simulate", "extension_verdict"])
+@pytest.mark.parametrize("frame, step", [(1e307, 24), (1e308, 0)], ids=["1e+307", "1e+308"])
+def test_a_run_that_overflows_raises_only_the_typed_error(aircraft, run, frame, step):
     # frames of 1e307 overflow the states, frames of 1e308 already B a(k);
     # numpy's overflow warnings from the recursion used to precede the
-    # NonFinite, and under an error filter to replace it
+    # NonFinite, and under an error filter to replace it.  Every entry point
+    # refuses the run with one message naming its first non-finite step:
+    # they used to name a right-hand side, a norm, v or the outputs
     attack = AttackSequence(np.full((31, aircraft.system.s), frame))
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match=f"^the run overflows at step k = {step}$"):
         run(aircraft, attack)
 
 
@@ -377,7 +405,8 @@ _COUNTS = {
     "io_matrix": ("t", 2.5, 0, lambda sc, v: io_matrix(sc.system, v)),
     "ctrl_matrix": ("t", 2.5, 0, lambda sc, v: ctrl_matrix(sc.system, v)),
     "output_nulling_reachable": ("k", 2.5, 1, lambda sc, v: output_nulling_reachable(sc.system, v)),
-    "DetectorConfig": ("window_len_l", 5.5, 5, lambda sc, v: DetectorConfig(v, sc.side)),
+    "DetectorConfig": ("window_len_l", 5.5, 3, lambda sc, v: DetectorSession(
+        sc.system, DetectorConfig(v, sc.side), sc.side.value_for(np.zeros(4)))),
     "AttackSequence.zeros": ("horizon_t", 2.5, 0, lambda sc, v: AttackSequence.zeros(sc.system.s, v)),
     "AttackSequence.zeros(s)": ("s", 2.5, 0, lambda sc, v: AttackSequence.zeros(v, 3)),
 }
